@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import SystemModel, sigma_matrix
 from .params import PhysicalParams
+from .sector import cosine_sector_constants
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,8 @@ def build_zeta() -> np.ndarray:
 
 
 def sector_constants(params: PhysicalParams) -> tuple[float, float, float]:
-    """(gamma, delta1, delta2) for the cosine perturbation.
-
-    gamma = 1/(2 Jp) with Jp hbar-normalized; the sine bound is tight with
-    no slack (delta1 = 0) and the cosine second derivative is bounded by
-    Jp^2 (delta2)."""
-    if params.Jp <= 0:
-        raise ValueError("Jp must be positive (gamma would be unbounded)")
-    return 1.0 / (2.0 * params.Jp), 0.0, params.Jp ** 2
+    """(gamma, delta1, delta2) = `cosine_sector_constants(params.Jp)`."""
+    return cosine_sector_constants(params.Jp)
 
 
 def build_model(params: PhysicalParams) -> SystemModel:

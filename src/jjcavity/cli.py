@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
-from .builder import build_model, sector_constants
+from .builder import build_model
 from .model import SystemModel
 from .params import PhysicalParams
-from .sector import GridSpec, SectorReport, cosine_first_derivative, cosine_second_derivative, verify_second, verify_sector
+from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
 from .stability import build_F, certify
 from .sweep import bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
@@ -165,17 +165,9 @@ def cmd_simulate(args) -> int:
     else:
         v0 = np.array([complex(re, im) for re, im in json.loads(args.v0)])
     traj = integrate_mean(F, v0, t_end, dt)
-    header = ["t"]
-    for k in range(v0.size):
-        header += [f"re_v{k}", f"im_v{k}"]
-    header.append("norm_sq")
-    rows = []
-    for t, v, ns in zip(traj.t, traj.v, traj.norm_sq):
-        row = [float(t)]
-        for z in v:
-            row += [float(z.real), float(z.imag)]
-        row.append(float(ns))
-        rows.append(row)
+    header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
+    re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)
+    rows = np.column_stack([traj.t, re_im, traj.norm_sq]).tolist()
     _emit(format_csv(header, rows), args)
     est = estimate_decay(traj)
     decay_path = args.decay_out or ((args.out or "trajectory.csv") + ".decay.json")
@@ -187,11 +179,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_sector(args) -> int:
-    gamma = args.gamma if args.gamma is not None else 1.0 / (2.0 * args.Jp)
-    delta2 = args.delta2 if args.delta2 is not None else args.Jp ** 2
+    gamma, delta1, delta2 = cosine_sector_constants(args.Jp)
+    gamma = gamma if args.gamma is None else args.gamma
+    delta1 = delta1 if args.delta1 is None else args.delta1
+    delta2 = delta2 if args.delta2 is None else args.delta2
     grid = GridSpec(re_max=args.range, im_max=args.range,
                     points_re=args.points, points_im=args.points)
-    rep1 = verify_sector(cosine_first_derivative(args.Jp), gamma, args.delta1, grid)
+    rep1 = verify_sector(cosine_first_derivative(args.Jp), gamma, delta1, grid)
     rep2 = verify_second(cosine_second_derivative(args.Jp), delta2, grid)
     _emit(json.dumps({"first": json.loads(rep1.to_json()),
                       "second": json.loads(rep2.to_json())}), args)
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--Jp", type=float, required=True)
     p.add_argument("--gamma", type=float, help="default 1/(2 Jp)")
-    p.add_argument("--delta1", type=float, default=0.0)
+    p.add_argument("--delta1", type=float, help="default 0")
     p.add_argument("--delta2", type=float, help="default Jp^2")
     p.add_argument("--range", type=float, default=20.0)
     p.add_argument("--points", type=int, default=801)

@@ -4,7 +4,12 @@ The operator inequalities are checked through their commutative surrogate:
 the scalar operator is replaced by a complex number z on a rectangular
 grid, and the bound margins are minimized over the grid.  Operator-ordering
 corrections are absorbed into the slack constants delta1/delta2.
-"""
+
+Both margins depend on z only through Re z and (Im z)^2, and neither
+decreases as (Im z)^2 grows, even after rounding.  So each check is a 1-D
+scan over Re z along the grid row nearest the real axis, with the same worst
+margin and worst point (the lexicographically smallest minimizer) as a scan
+of the full grid."""
 
 from __future__ import annotations
 
@@ -30,8 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points_re < 1 or self.points_im < 1:
             raise ValueError("grid must have at least one point per axis")
-        if self.re_max <= 0 or self.im_max <= 0:
-            raise ValueError("grid half-ranges must be positive")
+        if not (0 < self.re_max < np.inf and 0 < self.im_max < np.inf):
+            raise ValueError("grid half-ranges must be finite and positive")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -72,14 +77,15 @@ class SectorReport:
         )
 
 
-def _min_margin(margin: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[float, complex]:
-    """Minimum over the grid; ties resolved to the lexicographically smallest
-    point so that the report is deterministic."""
-    worst = float(margin.min())
-    ii, jj = np.nonzero(margin == margin.min())
-    order = np.lexsort((ys[jj], xs[ii]))
-    i, j = ii[order[0]], jj[order[0]]
-    return worst, complex(xs[i], ys[j])
+def _abs_sq_on_axis(f: Callable[[np.ndarray], np.ndarray], name: str,
+                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid axes and |f(z + conj(z))|^2, which depends on Re z only."""
+    xs, ys = grid.axes()
+    vals = np.asarray(f(2.0 * xs), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        bad = xs[~np.isfinite(vals)][0]
+        raise FloatingPointError(f"{name} is not finite at z + conj(z) = {2 * bad}")
+    return xs, ys, np.abs(vals) ** 2
 
 
 def verify_sector(
@@ -91,20 +97,20 @@ def verify_sector(
     """Check |f'(z + conj(z))|^2 <= |z|^2 / gamma^2 + delta1 over the grid.
 
     `fprime` is evaluated on the real array z + conj(z) = 2 Re z."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    xs, ys = grid.axes()
-    vals = np.asarray(fprime(2.0 * xs), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        bad = xs[~np.isfinite(vals)][0]
-        raise FloatingPointError(f"f' is not finite at z + conj(z) = {2 * bad}")
-    lhs = np.abs(vals) ** 2                       # depends on Re z only
-    rhs = (xs[:, None] ** 2 + ys[None, :] ** 2) / gamma ** 2 + delta1
-    margin = rhs - lhs[:, None]
-    worst, point = _min_margin(margin, xs, ys)
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if not 0 <= delta1 < np.inf:
+        raise ValueError(f"delta1 must be finite and nonnegative, got {delta1}")
+    xs, ys, lhs = _abs_sq_on_axis(fprime, "f'", grid)
+    x2, y2 = xs ** 2, ys ** 2
+    column = (x2 + y2.min()) / gamma ** 2 + delta1 - lhs
+    i = int(np.argmin(column))
+    # distinct y^2 can round to one margin: the first y on row i reaching it
+    j = int(np.argmin((x2[i] + y2) / gamma ** 2 + delta1 - lhs[i]))
+    worst = float(column[i])
     return SectorReport(
         gamma_tested=gamma, delta1=delta1, delta2=float("nan"),
-        worst_margin=worst, worst_point=point,
+        worst_margin=worst, worst_point=complex(xs[i], ys[j]),
         passed=worst >= 0.0, grid_spec=grid,
     )
 
@@ -115,21 +121,26 @@ def verify_second(
     grid: GridSpec = GridSpec(),
 ) -> SectorReport:
     """Check |f''(z + conj(z))|^2 <= delta2 over the grid."""
-    if delta2 < 0:
-        raise ValueError(f"delta2 must be nonnegative, got {delta2}")
-    xs, ys = grid.axes()
-    vals = np.asarray(fsecond(2.0 * xs), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        bad = xs[~np.isfinite(vals)][0]
-        raise FloatingPointError(f"f'' is not finite at z + conj(z) = {2 * bad}")
-    lhs = np.abs(vals) ** 2
-    margin = np.broadcast_to((delta2 - lhs)[:, None], (grid.points_re, grid.points_im))
-    worst, point = _min_margin(margin, xs, ys)
+    if not 0 <= delta2 < np.inf:
+        raise ValueError(f"delta2 must be finite and nonnegative, got {delta2}")
+    xs, ys, lhs = _abs_sq_on_axis(fsecond, "f''", grid)
+    margin = delta2 - lhs
+    i = int(np.argmin(margin))
+    worst = float(margin[i])
     return SectorReport(
         gamma_tested=float("nan"), delta1=float("nan"), delta2=delta2,
-        worst_margin=worst, worst_point=point,
+        worst_margin=worst, worst_point=complex(xs[i], ys[0]),
         passed=worst >= 0.0, grid_spec=grid,
     )
+
+
+def cosine_sector_constants(Jp: float) -> tuple[float, float, float]:
+    """(gamma, delta1, delta2) for the cosine perturbation with Jp
+    hbar-normalized: gamma = 1/(2 Jp), the sine bound is tight with no slack
+    (delta1 = 0), and the cosine second derivative is bounded by Jp^2."""
+    if not 0 < Jp < np.inf:
+        raise ValueError(f"Jp must be finite and positive, got {Jp}")
+    return 1.0 / (2.0 * Jp), 0.0, Jp ** 2
 
 
 def cosine_first_derivative(Jp: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -158,8 +158,59 @@ class TestSimulate:
         assert main(["simulate", "--model", model_file, "--dt", "1.0",
                      "--out", str(tmp_path / "x.csv"), "--quiet"]) == EXIT_ERROR
 
+    def test_csv_matches_per_value_rows(self, model_file, tmp_path, paper_model):
+        from jjcavity.simulate import integrate_mean, slow_mode_vector
+        from jjcavity.stability import build_F
+        from jjcavity.sweep import format_csv
+
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--model", model_file, "--t-end", "1e-11", "--dt", "1e-14",
+                     "--out", str(out), "--decay-out", str(tmp_path / "d.json"),
+                     "--quiet"]) == EXIT_OK
+        F = build_F(paper_model)
+        traj = integrate_mean(F, slow_mode_vector(F), 1e-11, 1e-14)
+        header = ["t"]
+        for k in range(traj.v.shape[1]):
+            header += [f"re_v{k}", f"im_v{k}"]
+        header.append("norm_sq")
+        rows = []
+        for t, v, ns in zip(traj.t, traj.v, traj.norm_sq):
+            row = [float(t)]
+            for z in v:
+                row += [float(z.real), float(z.imag)]
+            row.append(float(ns))
+            rows.append(row)
+        assert out.read_text() == format_csv(header, rows)
+
+    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])
+    def test_nonfinite_steps_exit_one(self, model_file, tmp_path, capsys, flags):
+        assert main(["simulate", "--model", model_file, *flags,
+                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerifySector:
+    @pytest.mark.parametrize("flags", [["--Jp", "0"], ["--Jp", "nan"], ["--Jp", "-1"],
+                                       ["--Jp", "1", "--gamma", "nan"],
+                                       ["--Jp", "1", "--delta1", "-1"],
+                                       ["--Jp", "1", "--range", "inf"]])
+    def test_bad_constants_exit_one(self, capsys, flags):
+        assert main(["verify-sector", *flags]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_defaults_from_rule(self, capsys):
+        from jjcavity.sector import cosine_sector_constants
+
+        assert main(["verify-sector", "--Jp", "2.0", "--points", "21"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        gamma, delta1, delta2 = cosine_sector_constants(2.0)
+        assert out["first"]["gamma_tested"] == gamma
+        assert out["first"]["delta1"] == delta1
+        assert out["second"]["delta2"] == delta2
+
     def test_defaults_pass(self, capsys):
         assert main(["verify-sector", "--Jp", "3.6652e11"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)

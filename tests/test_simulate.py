@@ -9,7 +9,32 @@ from jjcavity.simulate import (
     integrate_mean,
     slow_mode_vector,
 )
-from jjcavity.stability import build_F
+from jjcavity.stability import build_F, spectral_abscissa
+
+
+def rk4_reference(F, v0, t_end, dt):
+    """The four-stage Runge-Kutta loop, stage by stage."""
+    F = np.asarray(F, dtype=complex)
+    v = np.asarray(v0, dtype=complex)
+    out = [v]
+    for _ in range(int(round(t_end / dt))):
+        k1 = F @ v
+        k2 = F @ (v + 0.5 * dt * k1)
+        k3 = F @ (v + 0.5 * dt * k2)
+        k4 = F @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(v)
+    return np.array(out)
+
+
+def assert_matches_rk4_loop(F, v0, t_end, dt):
+    traj = integrate_mean(F, v0, t_end, dt)
+    ref = rk4_reference(F, v0, t_end, dt)
+    assert traj.v.shape == ref.shape
+    # the two orderings round differently: ~eps per step, and up to ~1e4
+    # steps, so 1e-10 leaves two orders of headroom over 2.2e-16 * 1e4
+    err = np.linalg.norm(traj.v - ref, axis=1)
+    assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
 
 
 def expm_series(A, order=40):
@@ -67,6 +92,32 @@ class TestIntegrateMean:
             integrate_mean(-np.eye(2), [1.0, 0.0], t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             integrate_mean(-np.eye(2), [1.0, 0.0], t_end=0.001, dt=0.01)
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, np.nan), (np.nan, 0.01),
+                                           (np.inf, 0.01), (1.0, np.inf)])
+    def test_nonfinite_steps(self, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_mean(-np.eye(2), [1.0, 0.0], t_end=t_end, dt=dt)
+
+    def test_matches_stage_loop_at_paper_point(self, paper_model):
+        F = build_F(paper_model)
+        rng = np.random.default_rng(5)
+        dt, t_end = default_timescales(F)
+        for v0 in (slow_mode_vector(F), rng.standard_normal(4) + 1j * rng.standard_normal(4)):
+            assert_matches_rk4_loop(F, v0, t_end, dt)
+
+    def test_matches_stage_loop_random_hurwitz(self):
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 20:
+            F = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            absc = spectral_abscissa(F)
+            if absc >= -0.05:
+                continue
+            v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            dt = 0.05 / np.max(np.abs(F))
+            assert_matches_rk4_loop(F, v0, 10.0 / abs(absc), dt)
+            checked += 1
 
     def test_time_axis(self):
         traj = integrate_mean(-np.eye(2), [1.0, 1.0], t_end=1.0, dt=0.1)
