@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and when a certificate is issued), 2 when the
 model is not certified or a threshold bracket fails on the certified side,
-1 on any other error.
+1 on any other error, usage errors included.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -19,30 +20,34 @@ from .params import PhysicalParams
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
 from .stability import build_F, certify
-from .sweep import bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
+from .sweep import BodeRow, SweepRecord, bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="SystemModel JSON file")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's 2 would read as "not certified"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _add_common(p: argparse.ArgumentParser, *, model: bool = False, table: bool = False) -> None:
+    if model:
+        p.add_argument("--model", help="SystemModel JSON file")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    if table:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--quiet", action="store_true")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params-json", help="PhysicalParams JSON file")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--Jp", type=float)
-    p.add_argument("--nbar", type=float)
-    p.add_argument("--kappa1", type=float)
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--hbar", type=float)
+    for f in fields(PhysicalParams):
+        p.add_argument(f"--{f.name}", type=float)
 
 
 def _params_from_args(args) -> PhysicalParams:
@@ -51,10 +56,10 @@ def _params_from_args(args) -> PhysicalParams:
             base = json.load(fh)
     else:
         base = {}
-    for name in ("omega", "g", "U", "Jp", "nbar", "kappa1", "kappa2", "hbar"):
-        v = getattr(args, name, None)
+    for f in fields(PhysicalParams):
+        v = getattr(args, f.name)
         if v is not None:
-            base[name] = v
+            base[f.name] = v
     try:
         return PhysicalParams(**base)
     except TypeError as exc:
@@ -76,6 +81,15 @@ def _emit(text: str, args) -> None:
             print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _emit_table(columns: list[str], rows, args) -> None:
+    """Rows as CSV or as a JSON list of objects keyed by `columns`; None is
+    an empty CSV cell and a JSON null."""
+    if args.format == "csv":
+        _emit(format_csv(columns, [["" if x is None else x for x in row] for row in rows]), args)
+    else:
+        _emit(json.dumps([dict(zip(columns, row)) for row in rows]), args)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -108,11 +122,7 @@ def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _parse_grid(args.kappa2_grid)
     records = sweep_kappa2(params, grid)
-    if args.format == "csv":
-        rows = [[r.kappa2, r.hinf_norm, r.hurwitz, r.certified, r.error or ""] for r in records]
-        _emit(format_csv(["kappa2", "hinf_norm", "hurwitz", "certified", "error"], rows), args)
-    else:
-        _emit(json.dumps([r.__dict__ for r in records]), args)
+    _emit_table([f.name for f in fields(SweepRecord)], [astuple(r) for r in records], args)
     return EXIT_OK
 
 
@@ -133,13 +143,7 @@ def cmd_threshold(args) -> int:
 def cmd_bode(args) -> int:
     model = _load_model(args)
     rows = bode_csv(model, args.omega_lo, args.omega_hi, args.points)
-    if args.format == "json":
-        _emit(json.dumps([r.__dict__ for r in rows]), args)
-    else:
-        _emit(format_csv(
-            ["omega", "magnitude", "phase", "error"],
-            [[r.omega, r.magnitude, r.phase, r.error or ""] for r in rows],
-        ), args)
+    _emit_table([f.name for f in fields(BodeRow)], [astuple(r) for r in rows], args)
     return EXIT_OK
 
 
@@ -147,10 +151,7 @@ def cmd_sensitivity(args) -> int:
     params = _params_from_args(args)
     grid = _parse_grid(args.kappa1_grid)
     pairs = kappa1_sensitivity(params, grid, args.kappa2_fixed)
-    if args.format == "csv":
-        _emit(format_csv(["kappa1", "hinf_norm"], [list(p) for p in pairs]), args)
-    else:
-        _emit(json.dumps([{"kappa1": k, "hinf_norm": h} for k, h in pairs]), args)
+    _emit_table(["kappa1", "hinf_norm"], pairs, args)
     return EXIT_OK
 
 
@@ -193,7 +194,7 @@ def cmd_verify_sector(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jjcavity",
         description="Robust mean-square stability certification of a "
                     "Josephson junction in a resonant cavity",
@@ -205,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("certify", help="evaluate the strict bounded-real certificate")
-    _add_common(p)
+    _add_common(p, model=True)
     p.add_argument("--margin", type=float, default=0.0,
                    help="extra fractional safety margin on gamma/2")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="sweep the junction coupling rate")
-    _add_common(p); _add_param_flags(p)
+    _add_common(p, table=True); _add_param_flags(p)
     p.add_argument("--kappa2-grid", required=True, metavar="lo:hi:n",
                    help="log-spaced kappa2 grid")
     p.set_defaults(func=cmd_sweep)
@@ -224,20 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("bode", help="emit magnitude/phase frequency-response data")
-    _add_common(p)
+    _add_common(p, model=True, table=True)
     p.add_argument("--omega-lo", type=float, required=True)
     p.add_argument("--omega-hi", type=float, required=True)
     p.add_argument("--points", type=int, default=400)
     p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("sensitivity", help="H-infinity norm across cavity coupling values")
-    _add_common(p); _add_param_flags(p)
+    _add_common(p, table=True); _add_param_flags(p)
     p.add_argument("--kappa1-grid", required=True, metavar="lo:hi:n")
     p.add_argument("--kappa2-fixed", type=float, required=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("simulate", help="integrate the mean dynamics and fit the decay")
-    _add_common(p)
+    _add_common(p, model=True)
     p.add_argument("--t-end", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--v0", default="slow-mode",
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

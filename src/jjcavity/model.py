@@ -8,7 +8,7 @@ ordering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,17 +68,7 @@ class SystemModel:
             raise ValueError(f"Etilde must be 1x{n2}, got {self.Etilde.shape}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_modes": self.n_modes,
-                "M": _encode_complex(self.M),
-                "N": _encode_complex(self.N),
-                "Etilde": _encode_complex(self.Etilde),
-                "gamma": self.gamma,
-                "delta1": self.delta1,
-                "delta2": self.delta2,
-            }
-        )
+        return json.dumps(asdict(self), default=_encode_complex)
 
     @classmethod
     def from_json(cls, text: str) -> "SystemModel":
@@ -94,9 +84,14 @@ class SystemModel:
         )
 
 
-def _encode_complex(a: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a, dtype=complex)]
+def _encode_complex(obj) -> list:
+    """`json.dumps` fallback for record fields: a complex number as
+    [re, im], a complex array as row-major nested lists of those."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _decode_complex(rows: list) -> np.ndarray:
@@ -107,24 +102,27 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _report_worst(d: np.ndarray, tol_abs: float, message: str, out: list[str],
+                  row0: int = 0, **labels) -> None:
+    """Append `message` for the largest entry of |d| if it exceeds tol_abs.
+    Its {i}, {j} and {v} become the entry's row (offset by row0), column and
+    size; `labels` fill the other fields."""
+    d = np.abs(d)
+    if d.size and d.max() > tol_abs:
+        i, j = np.unravel_index(int(d.argmax()), d.shape)
+        out.append(message.format(i=row0 + i, j=j, v=d[i, j], **labels))
+
+
 def _block_violations(name: str, A: np.ndarray, n: int, tol_abs: float,
                       out: list[str]) -> None:
     """Check the [[A1, A2], [A2#, A1#]] structure of a 2n x 2n matrix."""
-    A1, A2 = A[:n, :n], A[n:, n:].conj()
-    lower = A[n:, :]
     mirror = np.hstack([A[:n, n:].conj(), A[:n, :n].conj()])
-    d = np.abs(lower - mirror)
-    if d.size and d.max() > tol_abs:
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        out.append(
-            f"{name} block-conjugate symmetry: lower row entry "
-            f"({n + i},{j}) differs from conjugated upper row by {d[i, j]:.3e}"
-        )
+    _report_worst(A[n:, :] - mirror, tol_abs,
+                  "{name} block-conjugate symmetry: lower row entry ({i},{j}) "
+                  "differs from conjugated upper row by {v:.3e}", out, row0=n, name=name)
     # upper-left block vs conjugate of lower-right block
-    d = np.abs(A1 - A2)
-    if d.size and d.max() > tol_abs:
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        out.append(f"{name}1 vs {name}1# block mismatch at ({i},{j}): {d[i, j]:.3e}")
+    _report_worst(A[:n, :n] - A[n:, n:].conj(), tol_abs,
+                  "{name}1 vs {name}1# block mismatch at ({i},{j}): {v:.3e}", out, name=name)
 
 
 def validate_model(model: SystemModel, tol: float = DEFAULT_VALIDATION_TOL) -> list[str]:
@@ -139,20 +137,13 @@ def validate_model(model: SystemModel, tol: float = DEFAULT_VALIDATION_TOL) -> l
     out: list[str] = []
 
     tol_m = tol * max(1e-300, _max_abs(model.M))
-    d = np.abs(model.M - model.M.conj().T)
-    if d.max() > tol_m:
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        out.append(f"M Hermitian symmetry violated at ({i},{j}): {d[i, j]:.3e}")
-    M1 = model.M[:n, :n]
-    d = np.abs(M1 - M1.conj().T)
-    if d.max() > tol_m:
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        out.append(f"M1 Hermitian symmetry violated at ({i},{j}): {d[i, j]:.3e}")
-    M2 = model.M[:n, n:]
-    d = np.abs(M2 - M2.T)
-    if d.max() > tol_m:
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        out.append(f"M2 transpose-symmetry violated at ({i},{j}): {d[i, j]:.3e}")
+    M1, M2 = model.M[:n, :n], model.M[:n, n:]
+    _report_worst(model.M - model.M.conj().T, tol_m,
+                  "M Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
+    _report_worst(M1 - M1.conj().T, tol_m,
+                  "M1 Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
+    _report_worst(M2 - M2.T, tol_m,
+                  "M2 transpose-symmetry violated at ({i},{j}): {v:.3e}", out)
     _block_violations("M", model.M, n, tol_m, out)
 
     tol_n = tol * max(1e-300, _max_abs(model.N))

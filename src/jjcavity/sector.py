@@ -14,10 +14,12 @@ of the full grid."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+
+from .model import _encode_complex
 
 DEFAULT_RANGE = 20.0
 DEFAULT_POINTS = 801
@@ -44,14 +46,6 @@ class GridSpec:
             np.linspace(-self.im_max, self.im_max, self.points_im),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "re_max": self.re_max,
-            "im_max": self.im_max,
-            "points_re": self.points_re,
-            "points_im": self.points_im,
-        }
-
 
 @dataclass(frozen=True)
 class SectorReport:
@@ -64,17 +58,7 @@ class SectorReport:
     grid_spec: GridSpec
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma_tested": self.gamma_tested,
-                "delta1": self.delta1,
-                "delta2": self.delta2,
-                "worst_margin": self.worst_margin,
-                "worst_point": [self.worst_point.real, self.worst_point.imag],
-                "passed": self.passed,
-                "grid_spec": self.grid_spec.to_dict(),
-            }
-        )
+        return json.dumps(asdict(self), default=_encode_complex)
 
 
 def _abs_sq_on_axis(f: Callable[[np.ndarray], np.ndarray], name: str,

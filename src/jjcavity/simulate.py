@@ -8,7 +8,7 @@ steady offsets are out of scope; the noise covariance is unspecified)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ class DecayEstimate:
     t_window: tuple[float, float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "c1": self.c1,
-                "c2": self.c2,
-                "fit_residual": self.fit_residual,
-                "t_window": list(self.t_window),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def default_timescales(F: np.ndarray) -> tuple[float, float]:

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import SystemModel, j_matrix, sigma_matrix, validate_model
+from .model import SystemModel, _encode_complex, j_matrix, sigma_matrix, validate_model
 
 #: grid used for the lower-bound phase of the norm computation, rad/s
 HINF_GRID_LO = 1.0
@@ -52,19 +52,7 @@ class StabilityCertificate:
     hinf_tol: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues_F": [[z.real, z.imag] for z in self.eigenvalues_F],
-                "spectral_abscissa": self.spectral_abscissa,
-                "hurwitz": self.hurwitz,
-                "hinf_norm": self.hinf_norm,
-                "hinf_freq": self.hinf_freq,
-                "gamma_half": self.gamma_half,
-                "certified": self.certified,
-                "hurwitz_tol": self.hurwitz_tol,
-                "hinf_tol": self.hinf_tol,
-            }
-        )
+        return json.dumps(asdict(self), default=_encode_complex)
 
 
 def build_F(model: SystemModel) -> np.ndarray:
@@ -196,20 +184,14 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     return math.sqrt(lo * hi), best_freq
 
 
-def certify(
-    model: SystemModel,
-    hurwitz_tol: float | None = None,
-    hinf_tol: float = HINF_DEFAULT_REL_TOL,
-    margin: float = 0.0,
-    validation_tol: float | None = None,
-) -> StabilityCertificate:
+def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     """Evaluate the strict bounded-real conditions and issue the verdict.
 
     certified iff F is Hurwitz and the H-infinity norm of the perturbation
-    channel is strictly below gamma/2 (optionally shrunk by `margin`)."""
-    violations = (
-        validate_model(model) if validation_tol is None else validate_model(model, validation_tol)
-    )
+    channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
+    tolerances are the defaults of `default_hurwitz_tol`, `hinf_norm` and
+    `validate_model`; the certificate records the first two."""
+    violations = validate_model(model)
     if violations:
         raise ValueError("model fails structural validation: " + "; ".join(violations))
 
@@ -217,12 +199,12 @@ def certify(
     F = ss.A
     ev = np.linalg.eigvals(F)
     absc = float(np.max(ev.real))
-    htol = default_hurwitz_tol(F) if hurwitz_tol is None else hurwitz_tol
+    htol = default_hurwitz_tol(F)
     hurwitz = absc < -htol
     gamma_half = model.gamma / 2.0
 
     if hurwitz:
-        norm, freq = hinf_norm(ss, rel_tol=hinf_tol)
+        norm, freq = hinf_norm(ss)
         certified = norm < gamma_half * (1.0 - margin)
     else:
         norm, freq = float("nan"), float("nan")
@@ -237,5 +219,5 @@ def certify(
         gamma_half=gamma_half,
         certified=bool(certified),
         hurwitz_tol=htol,
-        hinf_tol=hinf_tol,
+        hinf_tol=HINF_DEFAULT_REL_TOL,
     )

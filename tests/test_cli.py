@@ -1,9 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from jjcavity.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, main
+from jjcavity.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, build_parser, main
+from jjcavity.params import PhysicalParams
 
 PARAM_FLAGS = [
     "--omega", str(2 * np.pi * 1e11),
@@ -123,6 +126,26 @@ class TestBode:
                      "--omega-hi", "1e10"]) == EXIT_ERROR
 
 
+    def test_error_row(self, tmp_path, capsys):
+        from jjcavity.builder import build_zeta
+        from jjcavity.model import SystemModel
+        from jjcavity.sweep import bode_csv
+
+        m = SystemModel(n_modes=2, M=np.diag([2.0, 0.0, 2.0, 0.0]), N=np.zeros((4, 4)),
+                        Etilde=build_zeta(), gamma=1.0)
+        path = tmp_path / "m.json"
+        path.write_text(m.to_json())
+        message = next(r.error for r in bode_csv(m, 1, 10, 5) if r.error)
+        flags = ["bode", "--model", str(path), "--omega-lo", "1", "--omega-hi", "10",
+                 "--points", "5"]
+        assert main([*flags, "--format", "csv"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[3] == f"2,nan,nan,{message}"
+        assert main(flags) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["error"] for r in rows] == [None, None, message, None, None, None]
+
+
 class TestSensitivity:
     def test_json_pairs(self, capsys):
         assert main(["sensitivity", *PARAM_FLAGS, "--kappa1-grid", "1e10:1e12:3",
@@ -223,3 +246,64 @@ class TestVerifySector:
                      str(0.9 * jp ** 2)]) == EXIT_NOT_CERTIFIED
         out = json.loads(capsys.readouterr().out)
         assert out["second"]["passed"] is False
+
+
+def _command_flags() -> dict[str, set[str]]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["sweep", "--omega", "1"],
+        ["sweep", *PARAM_FLAGS, "--kappa2-grid", "1e12:1e13:2", "--format", "xml"],
+        ["certify", "--model", "m.json", "--format", "csv"],
+        ["build", *PARAM_FLAGS, "--model", "m.json"],
+        ["threshold", *PARAM_FLAGS, "--lo", "x", "--hi", "1"],
+    ])
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    def test_flags_per_command(self):
+        flags = _command_flags()
+        assert {c for c, f in flags.items() if "--format" in f} == {"sweep", "bode", "sensitivity"}
+        assert {c for c, f in flags.items() if "--model" in f} == {"certify", "bode", "simulate"}
+        assert flags["certify"] == {"-h", "--help", "--model", "--out", "--quiet", "--margin"}
+        params = {f"--{f.name}" for f in fields(PhysicalParams)} | {"--params-json"}
+        assert {c for c, f in flags.items() if params <= f} == {"build", "sweep", "threshold",
+                                                                "sensitivity"}
+
+    def test_every_param_flag_is_read(self, capsys):
+        flags = [f"--{f.name}" for f in fields(PhysicalParams)]
+        values = ["6.2e11", "0.15", "2.2e-22", "3.6e11", "0.5", "1e11", "2e12", "1.1e-34"]
+        assert main(["build", *(x for pair in zip(flags, values) for x in pair)]) == EXIT_OK
+        from jjcavity.builder import build_model
+
+        expected = build_model(PhysicalParams(*map(float, values)))
+        assert capsys.readouterr().out == expected.to_json() + "\n"
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["verify-sector", "--Jp", "1e200"],
+        ["build", "--omega", "1e11", "--g", "0.1", "--U", "1e-22", "--Jp", "1e200"],
+        ["build", "--omega", "1e200", "--g", "0.1", "--U", "1e-22", "--Jp", "1"],
+    ])
+    def test_overflow_exits_one(self, capsys, argv):
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -95,3 +95,32 @@ class TestSerialization:
         again = jc.SystemModel.from_json(m.to_json())
         assert np.array_equal(again.M, m.M)
         assert np.array_equal(again.Etilde, m.Etilde)
+
+
+class TestRecordJson:
+    """Each record serializes under its own field names, in field order."""
+
+    def test_keys_are_fields(self, paper_model, paper_certificate):
+        import json
+        from dataclasses import fields
+
+        rep = jc.verify_sector(lambda u: np.sin(u), gamma=0.5, grid=jc.GridSpec(points_re=5, points_im=5))
+        est = jc.DecayEstimate(c1=1.0, c2=2.0, fit_residual=0.0, t_window=(0.0, 1.0))
+        for record in (paper_model, paper_certificate, rep, est, jc.reference_params()):
+            d = json.loads(record.to_json())
+            assert list(d) == [f.name for f in fields(record)]
+        assert list(json.loads(rep.to_json())["grid_spec"]) == [f.name for f in fields(jc.GridSpec)]
+
+    def test_complex_values_as_pairs(self, paper_certificate):
+        import json
+
+        rep = jc.SectorReport(gamma_tested=1.0, delta1=0.0, delta2=0.0, worst_margin=0.5,
+                              worst_point=complex(-1.5, 0.25), passed=True, grid_spec=jc.GridSpec())
+        assert json.loads(rep.to_json())["worst_point"] == [-1.5, 0.25]
+        d = json.loads(paper_certificate.to_json())
+        assert d["eigenvalues_F"] == [[z.real, z.imag] for z in paper_certificate.eigenvalues_F]
+        m = jc.SystemModel(n_modes=1, M=[[1, 2j], [-2j, 1]], N=np.zeros((2, 2)),
+                           Etilde=[[0.5, -0.5j]], gamma=1.0)
+        d = json.loads(m.to_json())
+        assert d["M"] == [[[1.0, 0.0], [0.0, 2.0]], [[0.0, -2.0], [1.0, 0.0]]]
+        assert d["Etilde"] == [[[0.5, 0.0], [0.0, -0.5]]]

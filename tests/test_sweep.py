@@ -87,6 +87,23 @@ class TestBode:
         rows = bode_csv(paper_model, 1e10, 1e13, 50)
         assert all(-np.pi <= r.phase <= np.pi for r in rows)
 
+    def test_singular_frequency_is_an_error_row(self):
+        from jjcavity.builder import build_zeta
+        from jjcavity.model import SystemModel
+
+        # F = diag(-2i, 0, 2i, 0): the resonance seed omega = 2 is an eigenvalue
+        m = SystemModel(n_modes=2, M=np.diag([2.0, 0.0, 2.0, 0.0]), N=np.zeros((4, 4)),
+                        Etilde=build_zeta(), gamma=1.0)
+        rows = bode_csv(m, 1, 10, 5)
+        assert len(rows) == 6
+        bad = [r for r in rows if r.omega == 2.0]
+        assert len(bad) == 1
+        assert "eigenvalue" in bad[0].error
+        assert np.isnan(bad[0].magnitude) and np.isnan(bad[0].phase)
+        good = [r for r in rows if r.omega != 2.0]
+        assert all(r.error is None and np.isfinite(r.magnitude) and np.isfinite(r.phase)
+                   for r in good)
+
     def test_bad_range(self, paper_model):
         with pytest.raises(ValueError):
             bode_csv(paper_model, 1e13, 1e10, 50)
