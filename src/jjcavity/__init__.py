@@ -18,6 +18,7 @@ from .stability import (
     build_F,
     certify,
     hinf_norm,
+    is_certified,
     is_hurwitz,
     spectral_abscissa,
     state_space,
@@ -53,6 +54,7 @@ __all__ = [
     "transfer_eval",
     "hinf_norm",
     "certify",
+    "is_certified",
     "GridSpec",
     "SectorReport",
     "verify_sector",

@@ -142,8 +142,8 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     miss them).  Phase 2 bisects the level using the purely-imaginary-eigenvalue
     test of the level-set matrix, which is valid for complex state matrices.
     Requires A Hurwitz, otherwise the axis supremum is not the norm."""
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not is_hurwitz(ss.A):
         raise ValueError("norm undefined: A is not Hurwitz")
 
@@ -184,6 +184,33 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     return math.sqrt(lo * hi), best_freq
 
 
+def _hurwitz_realization(model: SystemModel):
+    """The steps every verdict starts with: structural validation, the
+    state-space realization and the Hurwitz test of F at the default
+    tolerance.  Returns (ss, eigenvalues of F, abscissa, tolerance, hurwitz)."""
+    violations = validate_model(model)
+    if violations:
+        raise ValueError("model fails structural validation: " + "; ".join(violations))
+    ss = state_space(model)
+    ev = np.linalg.eigvals(ss.A)
+    absc = float(np.max(ev.real))
+    htol = default_hurwitz_tol(ss.A)
+    return ss, ev, absc, htol, absc < -htol
+
+
+def is_certified(model: SystemModel) -> bool:
+    """The verdict alone: F is Hurwitz and the gain of the perturbation
+    channel stays strictly below gamma/2 on the whole imaginary axis.
+
+    The second condition is one imaginary-axis eigenvalue test of the
+    level-set matrix at gamma/2, the test `hinf_norm` bisects with; no norm
+    is computed.  It agrees with `certify(model).certified` except where the
+    norm lies within `certify`'s bisection tolerance of gamma/2, where this
+    test decides at gamma/2 itself rather than at the bisection midpoint."""
+    ss, _, _, _, hurwitz = _hurwitz_realization(model)
+    return bool(hurwitz) and _imag_axis_crossings(ss, model.gamma / 2.0).size == 0
+
+
 def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     """Evaluate the strict bounded-real conditions and issue the verdict.
 
@@ -191,16 +218,7 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
     tolerances are the defaults of `default_hurwitz_tol`, `hinf_norm` and
     `validate_model`; the certificate records the first two."""
-    violations = validate_model(model)
-    if violations:
-        raise ValueError("model fails structural validation: " + "; ".join(violations))
-
-    ss = state_space(model)
-    F = ss.A
-    ev = np.linalg.eigvals(F)
-    absc = float(np.max(ev.real))
-    htol = default_hurwitz_tol(F)
-    hurwitz = absc < -htol
+    ss, ev, absc, htol, hurwitz = _hurwitz_realization(model)
     gamma_half = model.gamma / 2.0
 
     if hurwitz:

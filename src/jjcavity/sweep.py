@@ -10,7 +10,7 @@ import numpy as np
 
 from .builder import build_model
 from .params import PhysicalParams
-from .stability import certify, state_space, transfer_eval
+from .stability import certify, is_certified, state_space, transfer_eval
 
 THRESHOLD_AUDIT_POINTS = 20
 CSV_FLOAT_FMT = "{:.17g}"
@@ -34,7 +34,7 @@ class BodeRow:
 
 
 def _certified_at(params: PhysicalParams, kappa2: float) -> bool:
-    return certify(build_model(params.replace(kappa2=kappa2))).certified
+    return is_certified(build_model(params.replace(kappa2=kappa2)))
 
 
 def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
@@ -67,13 +67,15 @@ def find_threshold(
 ) -> float:
     """Bisection for the coupling rate where the certificate flips.
 
-    Requires certified(lo) = False and certified(hi) = True.  Monotonicity
-    of the certified predicate is observed rather than proven, so it is
-    audited post hoc on a log grid over the original bracket."""
+    Requires certified(lo) = False and certified(hi) = True.  Each verdict
+    is `is_certified`: the Hurwitz test of F and one imaginary-axis eigen
+    test of the level-set matrix at gamma/2, with no norm computed.
+    Monotonicity of the certified predicate is observed rather than proven,
+    so it is audited post hoc on a log grid over the original bracket."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if _certified_at(params, lo):
         raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
     if not _certified_at(params, hi):

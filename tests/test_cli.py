@@ -111,6 +111,14 @@ class TestThreshold:
         assert main(["threshold", *PARAM_FLAGS, "--lo", "2.5e12",
                      "--hi", "3e12"]) == EXIT_NOT_CERTIFIED
 
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "0"])
+    def test_bad_rel_tol_exit_one(self, capsys, rel_tol):
+        assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11", "--hi", "1e13",
+                     "--rel-tol", rel_tol]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rel_tol") and captured.err.count("\n") == 1
+
 
 class TestBode:
     def test_csv_rows(self, model_file, capsys):

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import jjcavity as jc
-from jjcavity.builder import build_coupling, build_model
+from jjcavity.builder import build_coupling, build_model, build_zeta
 from jjcavity.stability import (
     StateSpace,
     build_F,
     certify,
     hinf_norm,
+    is_certified,
     is_hurwitz,
     spectral_abscissa,
     state_space,
@@ -133,6 +136,11 @@ class TestHinfNorm:
         with pytest.raises(ValueError, match="Hurwitz"):
             hinf_norm(ss)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_bad_rel_tol_rejected(self, paper_model, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            hinf_norm(state_space(paper_model), rel_tol=rel_tol)
+
     def test_against_dense_grid(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
@@ -204,3 +212,80 @@ class TestCertify:
         d = json.loads(paper_certificate.to_json())
         assert d["certified"] is True
         assert d["hinf_norm"] == paper_certificate.hinf_norm
+
+
+#: ||G||_inf at the published point, from the closed-form transfer function
+#: evaluated in mpmath at 40 digits (peak at omega* = 3.2346757e11 rad/s)
+PAPER_NORM = 5.5562423145097e-13
+
+
+class TestIsCertified:
+    def test_exported(self):
+        assert jc.is_certified is is_certified
+        assert "is_certified" in jc.__all__
+
+    def test_paper_point(self, paper_model, paper_params):
+        assert is_certified(paper_model)
+        assert not is_certified(build_model(paper_params.replace(kappa2=1e12)))
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_sound_near_gamma_half(self, paper_model, gap):
+        # gamma/2 a relative `gap` above and below the true norm; certify's
+        # bisection midpoint sits 1.6e-7 above the norm here, so from a gap
+        # of 1e-7 down it refuses the models above
+        above = dataclasses.replace(paper_model, gamma=2 * PAPER_NORM * (1 + gap))
+        below = dataclasses.replace(paper_model, gamma=2 * PAPER_NORM * (1 - gap))
+        assert is_certified(above)
+        assert not is_certified(below)
+
+    def test_agrees_with_certify(self, paper_params):
+        rng = np.random.default_rng(61)
+        models = [make_random_model(rng) for _ in range(60)]
+        models += [build_model(paper_params.replace(kappa2=float(k2)))
+                   for k2 in np.logspace(11, 13, 40)]
+        verdicts = []
+        for m in models:
+            cert = certify(m)
+            if abs(cert.hinf_norm / cert.gamma_half - 1) < 1e-5:
+                continue
+            assert is_certified(m) == cert.certified
+            verdicts.append(cert.certified)
+        assert len(verdicts) >= 95
+        assert any(verdicts) and not all(verdicts)
+
+    def test_zero_model(self):
+        m = jc.SystemModel(
+            n_modes=2, M=np.zeros((4, 4)), N=np.zeros((4, 4)),
+            Etilde=np.zeros((1, 4)), gamma=1.0,
+        )
+        assert is_certified(m) is False
+
+    def test_unstable_not_certified(self):
+        # N2 = I pumps both modes: F = I/2, whose gain on the axis stays
+        # below gamma/2, so only the Hurwitz test can refuse it
+        N = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+        m = jc.SystemModel(n_modes=2, M=np.zeros((4, 4)), N=N,
+                           Etilde=build_zeta(), gamma=1e3)
+        assert np.allclose(build_F(m), 0.5 * np.eye(4))
+        assert not certify(m).hurwitz
+        assert is_certified(m) is False
+
+    def test_zero_channel_hurwitz(self):
+        # Etilde = 0: G is identically zero, so any gamma certifies
+        m = jc.SystemModel(
+            n_modes=2, M=np.zeros((4, 4)), N=build_coupling(3.0, 11.0),
+            Etilde=np.zeros((1, 4)), gamma=1e-30,
+        )
+        assert certify(m).certified
+        assert is_certified(m) is True
+
+    def test_invalid_model_same_error(self, paper_model):
+        M = paper_model.M.copy()
+        M[0, 1] += 1.0 * np.max(np.abs(M))
+        bad = dataclasses.replace(paper_model, M=M)
+        with pytest.raises(ValueError) as want:
+            certify(bad)
+        with pytest.raises(ValueError) as got:
+            is_certified(bad)
+        assert str(got.value) == str(want.value)
+        assert "validation" in str(got.value)

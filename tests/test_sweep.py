@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from jjcavity.stability import build_F
+from jjcavity.builder import build_model
+from jjcavity.stability import build_F, certify
 from jjcavity.sweep import (
     bode_csv,
     find_threshold,
@@ -9,6 +12,8 @@ from jjcavity.sweep import (
     kappa1_sensitivity,
     sweep_kappa2,
 )
+
+from conftest import random_params
 
 # frozen regression values (rel_tol 1e-3 bisection over [2e12, 2.4e12])
 THRESHOLD_KAPPA2 = 2169220554435.491
@@ -64,8 +69,34 @@ class TestFindThreshold:
     def test_bad_endpoints(self, paper_params):
         with pytest.raises(ValueError, match="lo"):
             find_threshold(paper_params, 2e12, 1e12)
-        with pytest.raises(ValueError, match="rel_tol"):
-            find_threshold(paper_params, 2e12, 2.4e12, rel_tol=0.0)
+        for rel_tol in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rel_tol"):
+                find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
+
+    def test_equals_bisection_on_certify(self, paper_params):
+        # the level-set verdicts bisect to the same point as certify's
+        # norm-based verdicts, bit for bit, on the paper point and two draws
+        def certified(p, k2):
+            return certify(build_model(p.replace(kappa2=k2))).certified
+
+        def reference(p, lo, hi, rel_tol=1e-3):
+            assert not certified(p, lo) and certified(p, hi)
+            while hi - lo > rel_tol * lo:
+                mid = math.sqrt(lo * hi)
+                if certified(p, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return math.sqrt(lo * hi)
+
+        rng = np.random.default_rng(43)
+        cases = [paper_params]
+        while len(cases) < 3:
+            p = random_params(rng)
+            if not certified(p, 1e11) and certified(p, 1e13):
+                cases.append(p)
+        for p in cases:
+            assert find_threshold(p, 1e11, 1e13) == reference(p, 1e11, 1e13)
 
 
 class TestBode:
