@@ -93,13 +93,13 @@ def _emit_table(columns: list[str], rows, args) -> None:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """lo:hi:n log-spaced grid."""
+    """lo:hi:n log-spaced grid with finite 0 < lo <= hi and n >= 1."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise SystemExit(f"error: bad grid spec {spec!r}, expected lo:hi:n")
-    if not (0 < lo <= hi) or n < 1:
+    if not (0 < lo <= hi < np.inf) or n < 1:
         raise SystemExit(f"error: bad grid spec {spec!r}")
     return np.logspace(np.log10(lo), np.log10(hi), n)
 

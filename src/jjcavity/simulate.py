@@ -17,6 +17,9 @@ MAX_STEP_FRACTION = 0.1
 #: relative floor (vs the initial norm) below which samples are dropped
 #: from the decay fit
 FIT_FLOOR_REL = 1e-12
+#: samples filled per stacked matmul: the step-matrix powers P^1..P^k are
+#: built once and each block is P^j v for j = 1..k from the block's start
+STEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ def default_timescales(F: np.ndarray) -> tuple[float, float]:
 
 def integrate_mean(F: np.ndarray, v0: np.ndarray, t_end: float, dt: float) -> Trajectory:
     """Classic 4th-order explicit integration of dv/dt = F v, sampled every
-    dt.  On a linear system the four stages are one step matrix: v <- P v."""
+    dt.  On a linear system the four stages are one step matrix: v <- P v,
+    so a block of `STEP_BLOCK` samples is one stacked product P^j v."""
     F = np.asarray(F, dtype=complex)
     v0 = np.asarray(v0, dtype=complex).reshape(-1)
     if F.shape != (v0.size, v0.size):
@@ -70,12 +74,23 @@ def integrate_mean(F: np.ndarray, v0: np.ndarray, t_end: float, dt: float) -> Tr
             f"use dt <= {MAX_STEP_FRACTION / scale:.3e}"
         )
     n_steps = int(round(t_end / dt))
-    out = np.empty((n_steps + 1, v0.size), dtype=complex)
-    out[0] = v0
-    eye, A = np.eye(v0.size), dt * F
+    n = v0.size
+    eye, A = np.eye(n), dt * F
     P = eye + A @ (eye + A / 2 @ (eye + A / 3 @ (eye + A / 4)))
-    for k in range(n_steps):
-        out[k + 1] = P @ out[k]
+    block = min(STEP_BLOCK, n_steps)
+    powers = np.empty((block, n, n), dtype=complex)
+    powers[0] = P
+    have = 1
+    while have < block:
+        # P^(j+1) P^have = P^(have+j+1): doubles the powers built so far
+        m = min(have, block - have)
+        powers[have:have + m] = powers[:m] @ powers[have - 1]
+        have += m
+    out = np.empty((n_steps + 1, n), dtype=complex)
+    out[0] = v0
+    for k in range(0, n_steps, block):
+        m = min(block, n_steps - k)
+        out[k + 1:k + 1 + m] = powers[:m] @ out[k]
     t = dt * np.arange(n_steps + 1)
     return Trajectory(t=t, v=out)
 

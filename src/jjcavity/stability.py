@@ -87,31 +87,41 @@ def is_hurwitz(F: np.ndarray, tol: float | None = None) -> bool:
     return spectral_abscissa(F) < -tol
 
 
-def transfer_eval(ss: StateSpace, s: complex) -> complex:
-    """G(s) by linear solve (never explicit inversion)."""
+def transfer_response(ss: StateSpace, s) -> np.ndarray:
+    """G at every point of the 1-D array `s` (the frequency response when
+    s = i w), from one stacked linear solve on the (k, n, n) array of
+    sI - A (never explicit inversion).  A point that is (numerically) an
+    eigenvalue of A fails the whole solve with numpy's LinAlgError."""
+    s = np.asarray(s, dtype=complex).reshape(-1)
     n = ss.A.shape[0]
-    lhs = s * np.eye(n, dtype=complex) - ss.A
+    lhs = s[:, None, None] * np.eye(n, dtype=complex) - ss.A
+    x = np.linalg.solve(lhs, np.broadcast_to(ss.B, (s.size, n, 1)))
+    return (ss.C @ x)[:, 0, 0]
+
+
+def transfer_eval(ss: StateSpace, s: complex) -> complex:
+    """G(s) at one point: the one-point case of `transfer_response`."""
     try:
-        x = np.linalg.solve(lhs, ss.B)
+        return complex(transfer_response(ss, s)[0])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"s = {s} is (numerically) an eigenvalue of A: {exc}"
         ) from exc
-    return complex((ss.C @ x)[0, 0])
 
 
 def _gain_on_axis(ss: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    return np.array([abs(transfer_eval(ss, 1j * w)) for w in omegas])
+    return np.abs(transfer_response(ss, 1j * omegas))
 
 
 def _level_set_matrix(ss: StateSpace, level: float) -> np.ndarray:
     A, B, C = ss.A, ss.B, ss.C
-    return np.block(
-        [
-            [A, (B @ B.conj().T) / level],
-            [-(C.conj().T @ C) / level, -A.conj().T],
-        ]
-    )
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n), dtype=complex)
+    H[:n, :n] = A
+    H[:n, n:] = (B @ B.conj().T) / level
+    H[n:, :n] = -(C.conj().T @ C) / level
+    H[n:, n:] = -A.conj().T
+    return H
 
 
 def _imag_axis_crossings(ss: StateSpace, level: float) -> np.ndarray:
@@ -139,8 +149,9 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     Phase 1 takes a coarse lower bound from a signed log frequency grid
     augmented with the resonance frequencies Im lambda(A) (narrow peaks sit
     many decades below the decay rates for this model, so a bare grid can
-    miss them).  Phase 2 bisects the level using the purely-imaginary-eigenvalue
-    test of the level-set matrix, which is valid for complex state matrices.
+    miss them), all gains from one stacked solve.  Phase 2 bisects the level
+    using the purely-imaginary-eigenvalue test of the level-set matrix, which
+    is valid for complex state matrices.
     Requires A Hurwitz, otherwise the axis supremum is not the norm."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
@@ -217,7 +228,10 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     certified iff F is Hurwitz and the H-infinity norm of the perturbation
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
     tolerances are the defaults of `default_hurwitz_tol`, `hinf_norm` and
-    `validate_model`; the certificate records the first two."""
+    `validate_model`; the certificate records the first two.  `margin` must
+    be finite with 0 <= margin < 1."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
     ss, ev, absc, htol, hurwitz = _hurwitz_realization(model)
     gamma_half = model.gamma / 2.0
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .builder import build_model
 from .params import PhysicalParams
-from .stability import certify, is_certified, state_space, transfer_eval
+from .stability import certify, is_certified, state_space, transfer_eval, transfer_response
 
 THRESHOLD_AUDIT_POINTS = 20
 CSV_FLOAT_FMT = "{:.17g}"
@@ -103,11 +103,25 @@ def find_threshold(
     return star
 
 
+def _bode_row(omega: float, g: complex) -> BodeRow:
+    return BodeRow(omega=float(omega), magnitude=abs(g), phase=math.atan2(g.imag, g.real))
+
+
+def _bode_row_alone(ss, omega: float) -> BodeRow:
+    try:
+        return _bode_row(omega, transfer_eval(ss, 1j * omega))
+    except np.linalg.LinAlgError as exc:
+        return BodeRow(omega=float(omega), magnitude=float("nan"),
+                       phase=float("nan"), error=str(exc))
+
+
 def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[BodeRow]:
     """Magnitude/phase rows on a log grid, augmented with the resonance
-    frequencies |Im lambda(F)| falling inside the range."""
-    if not (0 < omega_lo < omega_hi):
-        raise ValueError(f"need 0 < omega_lo < omega_hi, got {omega_lo}, {omega_hi}")
+    frequencies |Im lambda(F)| falling inside the range.  The gains come
+    from one stacked solve.  When a singular row fails that solve, each row
+    is solved alone, so that only the singular rows become error rows."""
+    if not (0 < omega_lo < omega_hi < math.inf):
+        raise ValueError(f"need finite 0 < omega_lo < omega_hi, got {omega_lo}, {omega_hi}")
     if n_points < 2:
         raise ValueError(f"need n_points >= 2, got {n_points}")
     ss = state_space(model)
@@ -115,17 +129,11 @@ def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[Bod
     seeds = np.abs(np.linalg.eigvals(ss.A).imag)
     seeds = seeds[(seeds >= omega_lo) & (seeds <= omega_hi)]
     omegas = np.unique(np.concatenate([grid, seeds]))
-    rows = []
-    for w in omegas:
-        try:
-            g = transfer_eval(ss, 1j * w)
-            rows.append(BodeRow(omega=float(w), magnitude=abs(g), phase=math.atan2(g.imag, g.real)))
-        except np.linalg.LinAlgError as exc:
-            rows.append(
-                BodeRow(omega=float(w), magnitude=float("nan"),
-                        phase=float("nan"), error=str(exc))
-            )
-    return rows
+    try:
+        gains = transfer_response(ss, 1j * omegas).tolist()
+    except np.linalg.LinAlgError:
+        return [_bode_row_alone(ss, w) for w in omegas]
+    return [_bode_row(w, g) for w, g in zip(omegas, gains)]
 
 
 def kappa1_sensitivity(

@@ -4,6 +4,10 @@ import pytest
 import jjcavity as jc
 from jjcavity.stability import build_F, spectral_abscissa
 
+#: ||G||_inf at the published point, from the closed-form transfer function
+#: evaluated in mpmath at 40 digits (peak at omega* = 3.2346757e11 rad/s)
+PAPER_NORM = 5.5562423145097e-13
+
 
 @pytest.fixture(scope="session")
 def paper_params():

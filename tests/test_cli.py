@@ -69,6 +69,20 @@ class TestCertify:
         assert main(["certify", "--model", model_file, "--margin", "0.3"]) == EXIT_NOT_CERTIFIED
         capsys.readouterr()
 
+    @pytest.mark.parametrize("margin", ["-5", "nan", "inf", "1"])
+    def test_bad_margin_exit_one(self, tmp_path, capsys, paper_params, margin):
+        # kappa2 = 1e12 puts the norm at 3.5x gamma/2, which --margin -5
+        # used to certify with exit 0
+        import jjcavity as jc
+
+        weak = jc.build_model(paper_params.replace(kappa2=1e12))
+        path = tmp_path / "weak.json"
+        path.write_text(weak.to_json())
+        assert main(["certify", "--model", str(path), "--margin", margin]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: margin")
+
     def test_missing_model_flag(self):
         with pytest.raises(SystemExit):
             main(["certify"])
@@ -99,6 +113,17 @@ class TestSweep:
     def test_bad_grid_spec(self):
         with pytest.raises(SystemExit):
             main(["sweep", *PARAM_FLAGS, "--kappa2-grid", "nope"])
+
+    @pytest.mark.parametrize("spec", ["1e11:inf:3", "1e11:nan:3", "inf:inf:3", "nan:1e13:3"])
+    @pytest.mark.parametrize("command", [("sweep", "--kappa2-grid"),
+                                         ("sensitivity", "--kappa1-grid")])
+    def test_nonfinite_grid_exits_one(self, capsys, command, spec):
+        name, flag = command
+        extra = ["--kappa2-fixed", "2.5e12"] if name == "sensitivity" else []
+        with pytest.raises(SystemExit) as exc:
+            main([name, *PARAM_FLAGS, flag, spec, *extra])
+        assert exc.value.code == f"error: bad grid spec {spec!r}"
+        assert capsys.readouterr().out == ""
 
 
 class TestThreshold:
@@ -132,6 +157,13 @@ class TestBode:
     def test_bad_range_exit_one(self, model_file, capsys):
         assert main(["bode", "--model", model_file, "--omega-lo", "1e13",
                      "--omega-hi", "1e10"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("lo, hi", [("1e9", "inf"), ("1e9", "nan"), ("inf", "inf")])
+    def test_nonfinite_range_exit_one(self, model_file, capsys, lo, hi):
+        assert main(["bode", "--model", model_file, "--omega-lo", lo,
+                     "--omega-hi", hi]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: need finite")
 
 
     def test_error_row(self, tmp_path, capsys):

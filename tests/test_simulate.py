@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jjcavity.simulate import (
+    STEP_BLOCK,
     DecayEstimate,
     Trajectory,
     default_timescales,
@@ -105,6 +106,16 @@ class TestIntegrateMean:
         dt, t_end = default_timescales(F)
         for v0 in (slow_mode_vector(F), rng.standard_normal(4) + 1j * rng.standard_normal(4)):
             assert_matches_rk4_loop(F, v0, t_end, dt)
+
+    @pytest.mark.parametrize("n_steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 6541])
+    def test_blocks_match_stage_loop(self, paper_model, n_steps):
+        # partial, exact and one-over blocks, and the paper point's default
+        # run of 6541 steps, from a state that excites every mode
+        F = build_F(paper_model)
+        dt, _ = default_timescales(F)
+        rng = np.random.default_rng(n_steps)
+        v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert_matches_rk4_loop(F, v0, n_steps * dt, dt)
 
     def test_matches_stage_loop_random_hurwitz(self):
         rng = np.random.default_rng(3)

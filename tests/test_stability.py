@@ -6,7 +6,9 @@ import pytest
 import jjcavity as jc
 from jjcavity.builder import build_coupling, build_model, build_zeta
 from jjcavity.stability import (
+    HINF_GRID_POINTS,
     StateSpace,
+    _seed_frequencies,
     build_F,
     certify,
     hinf_norm,
@@ -15,9 +17,10 @@ from jjcavity.stability import (
     spectral_abscissa,
     state_space,
     transfer_eval,
+    transfer_response,
 )
 
-from conftest import dense_grid_norm, make_random_model, random_params
+from conftest import PAPER_NORM, dense_grid_norm, make_random_model, random_params
 
 
 class TestBuildF:
@@ -117,8 +120,47 @@ class TestTransferEval:
 
     def test_singularity_raises(self):
         ss = StateSpace(A=np.diag([-1.0 + 2.0j]), B=[[1.0]], C=[[1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match=r"s = \(-1\+2j\) is \(numerically\) an eigenvalue"):
             transfer_eval(ss, -1.0 + 2.0j)
+        with pytest.raises(np.linalg.LinAlgError):
+            transfer_response(ss, [0.0, -1.0 + 2.0j, 1.0])
+
+
+def solve_one(ss, s):
+    """G(s) by its own 2-D solve: the per-point loop the stacked kernel
+    replaced, kept as its reference."""
+    n = ss.A.shape[0]
+    x = np.linalg.solve(s * np.eye(n, dtype=complex) - ss.A, ss.B)
+    return complex((ss.C @ x)[0, 0])
+
+
+class TestTransferResponse:
+    def assert_matches_per_point(self, ss, s):
+        want = np.array([solve_one(ss, z) for z in s])
+        got = transfer_response(ss, s)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert np.all(np.abs(np.array([transfer_eval(ss, z) for z in s]) - want)
+                      <= 1e-14 * np.abs(want))
+
+    def test_paper_seed_grid(self, paper_model):
+        ss = state_space(paper_model)
+        omegas = _seed_frequencies(ss)
+        assert omegas.size > 2 * HINF_GRID_POINTS
+        self.assert_matches_per_point(ss, 1j * omegas)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            ss = state_space(make_random_model(rng))
+            self.assert_matches_per_point(ss, 1j * _seed_frequencies(ss))
+
+    def test_off_axis_points(self):
+        rng = np.random.default_rng(47)
+        ss = state_space(make_random_model(rng))
+        s = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        self.assert_matches_per_point(ss, s)
+        assert transfer_response(ss, s[0]).shape == (1,)
 
 
 class TestHinfNorm:
@@ -206,17 +248,20 @@ class TestCertify:
         with pytest.raises(ValueError, match="validation"):
             certify(bad)
 
+    @pytest.mark.parametrize("margin", [-5.0, np.nan, np.inf, 1.0])
+    def test_bad_margin_rejected(self, paper_params, margin):
+        # kappa2 = 1e12 puts the norm at 3.5x gamma/2, which margin = -5 used
+        # to certify
+        weak = build_model(paper_params.replace(kappa2=1e12))
+        with pytest.raises(ValueError, match="margin"):
+            certify(weak, margin=margin)
+
     def test_json_output(self, paper_certificate):
         import json
 
         d = json.loads(paper_certificate.to_json())
         assert d["certified"] is True
         assert d["hinf_norm"] == paper_certificate.hinf_norm
-
-
-#: ||G||_inf at the published point, from the closed-form transfer function
-#: evaluated in mpmath at 40 digits (peak at omega* = 3.2346757e11 rad/s)
-PAPER_NORM = 5.5562423145097e-13
 
 
 class TestIsCertified:

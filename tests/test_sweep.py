@@ -141,6 +141,12 @@ class TestBode:
         with pytest.raises(ValueError):
             bode_csv(paper_model, 1e10, 1e13, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(1e9, np.inf), (1e9, np.nan), (np.nan, 1e13),
+                                        (-np.inf, 1e13), (np.inf, np.inf)])
+    def test_nonfinite_range(self, paper_model, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            bode_csv(paper_model, lo, hi, 10)
+
 
 class TestSensitivity:
     def test_flat_in_kappa1(self, paper_params):
