@@ -11,11 +11,10 @@ import numpy as np
 
 from .model import SystemModel, _encode_complex, j_matrix, sigma_matrix, validate_model
 
-#: grid used for the lower-bound phase of the norm computation, rad/s
-HINF_GRID_LO = 1.0
-HINF_GRID_HI = 1e15
-HINF_GRID_POINTS = 600
 HINF_DEFAULT_REL_TOL = 1e-6
+#: level-set iterations before `hinf_norm` gives up; the iteration converges
+#: quadratically and needs at most a handful
+HINF_MAX_ITER = 30
 #: imaginary-axis detection threshold, relative to the max-abs entry of the
 #: level-set matrix (scale-free across the model's huge dynamic range)
 IMAG_AXIS_REL_TOL = 1e-8
@@ -109,10 +108,6 @@ def transfer_eval(ss: StateSpace, s: complex) -> complex:
         ) from exc
 
 
-def _gain_on_axis(ss: StateSpace, omegas: np.ndarray) -> np.ndarray:
-    return np.abs(transfer_response(ss, 1j * omegas))
-
-
 def _level_set_matrix(ss: StateSpace, level: float) -> np.ndarray:
     A, B, C = ss.A, ss.B, ss.C
     n = A.shape[0]
@@ -134,65 +129,58 @@ def _imag_axis_crossings(ss: StateSpace, level: float) -> np.ndarray:
     return np.unique(on_axis.imag)
 
 
-def _seed_frequencies(ss: StateSpace) -> np.ndarray:
-    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
-    # in w and the supremum runs over the whole signed axis
-    grid = np.logspace(np.log10(HINF_GRID_LO), np.log10(HINF_GRID_HI), HINF_GRID_POINTS)
-    ev = np.linalg.eigvals(ss.A)
-    seeds = ev.imag
-    return np.unique(np.concatenate([[0.0], grid, -grid, seeds[seeds != 0.0]]))
-
-
 def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[float, float]:
-    """(norm, achieving frequency) of G on the imaginary axis.
+    """(norm, frequency) of G on the imaginary axis: an upper bound on
+    sup |G(i w)| and the frequency of the largest gain measured.
 
-    Phase 1 takes a coarse lower bound from a signed log frequency grid
-    augmented with the resonance frequencies Im lambda(A) (narrow peaks sit
-    many decades below the decay rates for this model, so a bare grid can
-    miss them), all gains from one stacked solve.  Phase 2 bisects the level
-    using the purely-imaginary-eigenvalue test of the level-set matrix, which
-    is valid for complex state matrices.
+    The level-set iteration of Bruinsma & Steinbuch (Systems & Control
+    Letters 14, 1990).  The lower bound `lo` starts as the largest gain at
+    w = 0, Im lambda(A), +-|lambda(A)| and n multiples of max |lambda(A)|
+    beyond it.  Those are n + 1 or more distinct frequencies, and a strictly
+    proper G that is not identically zero vanishes at no more than n - 1 of
+    them.  Each step tests the level hi = (1 + rel_tol/5) lo with the
+    imaginary-axis test of Boyd, Balakrishnan & Kabamba (1989), valid for
+    complex state matrices.  No crossing means the gain stays below hi on
+    the whole (signed) axis, and hi is returned.  Otherwise `lo` rises to the
+    largest gain at the crossings and the midpoints between consecutive
+    ones; the gains come from one stacked solve each time.
     Requires A Hurwitz, otherwise the axis supremum is not the norm."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    if not is_hurwitz(ss.A):
+    ev = np.linalg.eigvals(ss.A)
+    absc = float(np.max(ev.real))
+    if not absc < -default_hurwitz_tol(ss.A):
         raise ValueError("norm undefined: A is not Hurwitz")
 
-    omegas = _seed_frequencies(ss)
-    gains = _gain_on_axis(ss, omegas)
+    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
+    # in w and the seeds run over the whole signed axis
+    radii = np.abs(ev)
+    extra = radii.max() * np.arange(2, ev.size + 2)
+    omegas = np.unique(np.concatenate([[0.0], ev.imag, radii, -radii, extra]))
+    gains = np.abs(transfer_response(ss, 1j * omegas))
     k = int(np.argmax(gains))
-    lo, best_freq = float(gains[k]), float(omegas[k])
+    lo, freq = float(gains[k]), float(omegas[k])
     if lo == 0.0:
-        # zero transfer function (e.g. Etilde = 0)
-        return 0.0, 0.0
+        # G == 0 iff every Markov parameter C A^k B, k < n, is zero
+        if not any(np.any(ss.C @ np.linalg.matrix_power(ss.A, i) @ ss.B) for i in range(ev.size)):
+            return 0.0, 0.0
+        raise RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
 
-    # bracket from above: grow until no imaginary-axis crossing
-    hi = 2.0 * lo
-    for _ in range(200):
-        if _imag_axis_crossings(ss, hi).size == 0:
+    for _ in range(HINF_MAX_ITER):
+        hi = (1.0 + rel_tol / 5.0) * lo
+        crossings = _imag_axis_crossings(ss, hi)
+        if crossings.size == 0:
+            return hi, freq
+        omegas = np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2.0])
+        gains = np.abs(transfer_response(ss, 1j * omegas))
+        k = int(np.argmax(gains))
+        if not gains[k] > lo:
             break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"H-infinity upper bracket failed: level {hi:.6e} still crossed; "
-            f"lower bound {lo:.6e}, abscissa {spectral_abscissa(ss.A):.6e}"
-        )
-
-    while hi - lo > rel_tol * lo:
-        mid = math.sqrt(lo * hi)
-        crossings = _imag_axis_crossings(ss, mid)
-        if crossings.size:
-            lo = mid
-            # refine the achieving frequency from the crossing band
-            cg = _gain_on_axis(ss, crossings)
-            j = int(np.argmax(cg))
-            if cg[j] >= lo:
-                best_freq = float(crossings[j])
-        else:
-            hi = mid
-
-    return math.sqrt(lo * hi), best_freq
+        lo, freq = float(gains[k]), float(omegas[k])
+    raise RuntimeError(
+        f"H-infinity iteration failed: level {hi:.6e} still crossed; "
+        f"lower bound {lo:.6e} at {freq:.6e} rad/s, abscissa {absc:.6e}"
+    )
 
 
 def _hurwitz_realization(model: SystemModel):
@@ -214,10 +202,11 @@ def is_certified(model: SystemModel) -> bool:
     channel stays strictly below gamma/2 on the whole imaginary axis.
 
     The second condition is one imaginary-axis eigenvalue test of the
-    level-set matrix at gamma/2, the test `hinf_norm` bisects with; no norm
+    level-set matrix at gamma/2, the test `hinf_norm` iterates with; no norm
     is computed.  It agrees with `certify(model).certified` except where the
-    norm lies within `certify`'s bisection tolerance of gamma/2, where this
-    test decides at gamma/2 itself rather than at the bisection midpoint."""
+    norm lies within `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then
+    refuses, because its upper bound is not below gamma/2, while this test
+    decides at gamma/2 itself."""
     ss, _, _, _, hurwitz = _hurwitz_realization(model)
     return bool(hurwitz) and _imag_axis_crossings(ss, model.gamma / 2.0).size == 0
 

@@ -20,7 +20,7 @@ import sympy as sp
 
 import jjcavity as jc
 from jjcavity.builder import build_model
-from jjcavity.stability import certify, state_space, transfer_response
+from jjcavity.stability import certify, hinf_norm, state_space, transfer_response
 from jjcavity.sweep import find_threshold
 
 from conftest import PAPER_NORM
@@ -174,7 +174,12 @@ class TestNormAgainstClosedForm:
         assert cert.hurwitz
         assert cert.hinf_norm == pytest.approx(peak, rel=2e-6)
         at_freq = closed_form_gain(p, [cert.hinf_freq])[0]
-        assert at_freq == pytest.approx(cert.hinf_norm, rel=2e-3)
+        assert at_freq == pytest.approx(cert.hinf_norm, rel=1e-6)
+
+    @pytest.mark.parametrize("p", draws(seed=17) + draws(seed=23) + draws(seed=29),
+                             ids=lambda p: f"k2={p.kappa2:.3e}")
+    def test_norm_is_upper_bound(self, p):
+        assert hinf_norm(state_space(build_model(p)))[0] >= closed_form_peak(p)[0] * (1 - 1e-12)
 
     @pytest.mark.parametrize("p", draws(seed=19), ids=lambda p: f"Jp={p.Jp:.3e}")
     def test_threshold(self, p):

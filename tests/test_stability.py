@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import jjcavity as jc
+from jjcavity import stability
 from jjcavity.builder import build_coupling, build_model, build_zeta
 from jjcavity.stability import (
-    HINF_GRID_POINTS,
     StateSpace,
-    _seed_frequencies,
     build_F,
     certify,
     hinf_norm,
@@ -126,6 +125,13 @@ class TestTransferEval:
             transfer_response(ss, [0.0, -1.0 + 2.0j, 1.0])
 
 
+def signed_grid(ss):
+    """0, +-600 log-spaced frequencies over [1, 1e15] and Im lambda(A): the
+    stacked kernel's coverage across every scale of the signed axis."""
+    grid = np.logspace(0.0, 15.0, 600)
+    return np.unique(np.concatenate([[0.0], grid, -grid, np.linalg.eigvals(ss.A).imag]))
+
+
 def solve_one(ss, s):
     """G(s) by its own 2-D solve: the per-point loop the stacked kernel
     replaced, kept as its reference."""
@@ -145,15 +151,15 @@ class TestTransferResponse:
 
     def test_paper_seed_grid(self, paper_model):
         ss = state_space(paper_model)
-        omegas = _seed_frequencies(ss)
-        assert omegas.size > 2 * HINF_GRID_POINTS
+        omegas = signed_grid(ss)
+        assert omegas.size > 2 * 600
         self.assert_matches_per_point(ss, 1j * omegas)
 
     def test_random_models(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             ss = state_space(make_random_model(rng))
-            self.assert_matches_per_point(ss, 1j * _seed_frequencies(ss))
+            self.assert_matches_per_point(ss, 1j * signed_grid(ss))
 
     def test_off_axis_points(self):
         rng = np.random.default_rng(47)
@@ -169,6 +175,51 @@ class TestHinfNorm:
         norm, freq = hinf_norm(ss)
         assert norm == pytest.approx(0.5, rel=1e-6)
         assert abs(freq) < 1e-3
+
+    def test_zero_at_pole_moduli(self):
+        # G(s) = s / ((s+1)(s+2)) vanishes at w = 0 = Im lambda; its norm is
+        # 1/3 at +-sqrt(2)
+        ss = StateSpace(A=np.diag([-1.0, -2.0]), B=[1.0, 1.0], C=[-1.0, 2.0])
+        norm, freq = hinf_norm(ss)
+        assert norm == pytest.approx(1.0 / 3.0, rel=1e-6)
+        assert norm >= 1.0 / 3.0
+        assert abs(freq) == pytest.approx(np.sqrt(2.0), rel=1e-3)
+
+    @pytest.mark.parametrize("form", ["companion", "jordan"])
+    def test_zero_at_every_eigenvalue_seed(self, form):
+        # G(s) = s (s^2 + 1) / (s + 1)^4 vanishes at w = 0 and +-|lambda| = +-1;
+        # its norm is 1/4 at sqrt(2) -+ 1.  In Jordan form the eigenvalues
+        # and the gains at those three seeds come out exactly, as 0.0.
+        if form == "companion":
+            A = np.eye(4, k=1)
+            A[3] = [-1.0, -4.0, -6.0, -4.0]
+            C = [0.0, 1.0, 0.0, 1.0]
+        else:
+            A = np.eye(4, k=1) - np.eye(4)
+            C = [-2.0, 4.0, -3.0, 1.0]
+        ss = StateSpace(A=A, B=[0.0, 0.0, 0.0, 1.0], C=C)
+        norm, freq = hinf_norm(ss)
+        assert norm == pytest.approx(0.25, rel=1e-6)
+        assert norm >= 0.25
+        assert abs(transfer_eval(ss, 1j * freq)) == pytest.approx(0.25, rel=1e-6)
+
+    def test_zero_transfer(self):
+        ss = StateSpace(A=np.diag([-1.0, -2.0]), B=[1.0, 0.0], C=[0.0, 1.0])
+        assert hinf_norm(ss) == (0.0, 0.0)
+
+    def test_zero_seed_gains_of_nonzero_g_raise(self, monkeypatch):
+        ss = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
+        monkeypatch.setattr(stability, "transfer_response", lambda ss, s: np.zeros(np.size(s)))
+        with pytest.raises(RuntimeError, match="zero gain"):
+            hinf_norm(ss)
+
+    def test_stall_raises(self, monkeypatch):
+        # a crossing band the gains cannot confirm: the midpoint (w = 0) is
+        # the peak already, so lo cannot rise and no level is returned
+        ss = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
+        monkeypatch.setattr(stability, "_imag_axis_crossings", lambda ss, level: np.array([-1.0, 1.0]))
+        with pytest.raises(RuntimeError, match=r"level 5\.0000\d+e-01 still crossed; lower bound 5\.0+e-01"):
+            hinf_norm(ss)
 
     def test_paper_value(self, paper_certificate):
         assert paper_certificate.hinf_norm == pytest.approx(5.5554e-13, rel=1e-3)
@@ -275,13 +326,15 @@ class TestIsCertified:
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
     def test_sound_near_gamma_half(self, paper_model, gap):
-        # gamma/2 a relative `gap` above and below the true norm; certify's
-        # bisection midpoint sits 1.6e-7 above the norm here, so from a gap
-        # of 1e-7 down it refuses the models above
+        # gamma/2 a relative `gap` above and below the true norm; certify
+        # compares an upper bound that sits up to rel_tol/5 = 2e-7 above the
+        # norm, so it never certifies the models below, and from a gap of
+        # 1e-7 down it refuses the models above too
         above = dataclasses.replace(paper_model, gamma=2 * PAPER_NORM * (1 + gap))
         below = dataclasses.replace(paper_model, gamma=2 * PAPER_NORM * (1 - gap))
         assert is_certified(above)
         assert not is_certified(below)
+        assert not certify(below).certified
 
     def test_agrees_with_certify(self, paper_params):
         rng = np.random.default_rng(61)
