@@ -15,7 +15,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .builder import build_model
-from .model import SystemModel
+from .model import SystemModel, _decode_pairs
 from .params import PhysicalParams
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
     if args.v0 == "slow-mode":
         v0 = slow_mode_vector(F)
     else:
-        v0 = np.array([complex(re, im) for re, im in json.loads(args.v0)])
+        v0 = _decode_pairs("--v0", json.loads(args.v0))
     traj = integrate_mean(F, v0, t_end, dt)
     header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
     re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)

@@ -72,12 +72,24 @@ class SystemModel:
 
     @classmethod
     def from_json(cls, text: str) -> "SystemModel":
+        """Parse `to_json` output; malformed input raises ValueError naming
+        the missing key or the bad entry."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"model JSON must be an object, got {type(d).__name__}")
+        for k in ("n_modes", "M", "N", "Etilde", "gamma"):
+            if k not in d:
+                raise ValueError(f"model JSON lacks key {k!r}")
+        if not isinstance(d["n_modes"], int) or isinstance(d["n_modes"], bool):
+            raise ValueError(f"n_modes must be an integer, got {d['n_modes']!r}")
+        for k in ("gamma", "delta1", "delta2"):
+            if k in d and not _is_number(d[k]):
+                raise ValueError(f"{k} must be a number, got {d[k]!r}")
         return cls(
             n_modes=d["n_modes"],
-            M=_decode_complex(d["M"]),
-            N=_decode_complex(d["N"]),
-            Etilde=_decode_complex(d["Etilde"]),
+            M=_decode_complex("M", d["M"]),
+            N=_decode_complex("N", d["N"]),
+            Etilde=_decode_complex("Etilde", d["Etilde"]),
             gamma=d["gamma"],
             delta1=d.get("delta1", 0.0),
             delta2=d.get("delta2", 0.0),
@@ -94,8 +106,25 @@ def _encode_complex(obj) -> list:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _decode_complex(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _decode_pairs(name: str, pairs) -> np.ndarray:
+    """A JSON list of [re, im] pairs of numbers as a complex vector; a
+    ValueError names the first entry that is not such a pair."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{name} must be a list of [re, im] pairs, got {pairs!r}")
+    for k, p in enumerate(pairs):
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+            raise ValueError(f"{name}[{k}] must be a [re, im] pair of numbers, got {p!r}")
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def _decode_complex(name: str, rows) -> np.ndarray:
+    if not isinstance(rows, list):
+        raise ValueError(f"{name} must be a list of rows, got {rows!r}")
+    return np.array([_decode_pairs(f"{name}[{i}]", row) for i, row in enumerate(rows)], dtype=complex)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -125,14 +154,14 @@ def _block_violations(name: str, A: np.ndarray, n: int, tol_abs: float,
                   "{name}1 vs {name}1# block mismatch at ({i},{j}): {v:.3e}", out, name=name)
 
 
-def validate_model(model: SystemModel, tol: float = DEFAULT_VALIDATION_TOL) -> list[str]:
+def validate_model(model: SystemModel) -> list[str]:
     """Return the list of structural violations (empty iff the model is valid).
 
-    `tol` is relative to the max-abs entry of the matrix being checked.
-    Dimension mismatches are raised at construction time, not reported here.
+    The tolerance is DEFAULT_VALIDATION_TOL relative to the max-abs entry of
+    the matrix being checked.  Dimension mismatches are raised at
+    construction time, not reported here.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = DEFAULT_VALIDATION_TOL
     n = model.n_modes
     out: list[str] = []
 

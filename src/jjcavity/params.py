@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, asdict, fields
@@ -50,9 +51,7 @@ class PhysicalParams:
             raise ValueError("coupling rates must be nonnegative")
 
     def replace(self, **kwargs) -> "PhysicalParams":
-        d = asdict(self)
-        d.update(kwargs)
-        return PhysicalParams(**d)
+        return dataclasses.replace(self, **kwargs)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -62,14 +61,15 @@ class PhysicalParams:
         return cls(**json.loads(text))
 
 
-def reference_params(kappa1: float = 1e11, kappa2: float = 2.5e12) -> PhysicalParams:
-    """The published junction/cavity constants with chosen coupling rates."""
+def reference_params() -> PhysicalParams:
+    """The published junction/cavity constants, at the coupling rates
+    kappa1 = 1e11 and kappa2 = 2.5e12 1/s."""
     return PhysicalParams(
         omega=2.0 * math.pi * 1e11,
         g=0.15,
         U=2.2087e-22,
         Jp=3.6652e11,
         nbar=0.0,
-        kappa1=kappa1,
-        kappa2=kappa2,
+        kappa1=1e11,
+        kappa2=2.5e12,
     )

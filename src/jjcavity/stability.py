@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,17 @@ IMAG_AXIS_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Strictly proper single-channel system G(s) = C (sI - A)^-1 B."""
+    """Strictly proper single-channel system G(s) = C (sI - A)^-1 B, with
+    the spectrum of A computed once and the one Hurwitz rule applied to it:
+    abscissa < -hurwitz_tol = -1e-6 eps max(1, max |A_ij|)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    eigenvalues: np.ndarray = field(init=False)
+    abscissa: float = field(init=False)
+    hurwitz_tol: float = field(init=False)
+    hurwitz: bool = field(init=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
@@ -36,6 +42,10 @@ class StateSpace:
             raise ValueError(f"A must be square, got {A.shape}")
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(n, 1))
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(1, n))
+        object.__setattr__(self, "eigenvalues", np.linalg.eigvals(A))
+        object.__setattr__(self, "abscissa", float(np.max(self.eigenvalues.real)))
+        object.__setattr__(self, "hurwitz_tol", 1e-6 * max(1.0, float(np.max(np.abs(A)))) * np.finfo(float).eps)
+        object.__setattr__(self, "hurwitz", bool(self.abscissa < -self.hurwitz_tol))
 
 
 @dataclass(frozen=True)
@@ -75,15 +85,10 @@ def spectral_abscissa(F: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(np.asarray(F, dtype=complex)).real))
 
 
-def default_hurwitz_tol(F: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(F)))) if np.asarray(F).size else 1.0
-    return 1e-6 * scale * np.finfo(float).eps
-
-
-def is_hurwitz(F: np.ndarray, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_hurwitz_tol(F)
-    return spectral_abscissa(F) < -tol
+def is_hurwitz(F: np.ndarray) -> bool:
+    """The Hurwitz verdict of `StateSpace` on the square matrix F."""
+    n = np.shape(F)[0]
+    return StateSpace(A=F, B=np.zeros(n), C=np.zeros(n)).hurwitz
 
 
 def transfer_response(ss: StateSpace, s) -> np.ndarray:
@@ -144,13 +149,13 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     the whole (signed) axis, and hi is returned.  Otherwise `lo` rises to the
     largest gain at the crossings and the midpoints between consecutive
     ones; the gains come from one stacked solve each time.
-    Requires A Hurwitz, otherwise the axis supremum is not the norm."""
+    Requires `ss.hurwitz`, otherwise the axis supremum is not the norm; the
+    seeds come from the spectrum `ss` holds, with no eigvals call here."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    ev = np.linalg.eigvals(ss.A)
-    absc = float(np.max(ev.real))
-    if not absc < -default_hurwitz_tol(ss.A):
+    if not ss.hurwitz:
         raise ValueError("norm undefined: A is not Hurwitz")
+    ev = ss.eigenvalues
 
     # the state matrix has complex coefficients, so |G(i w)| is not symmetric
     # in w and the seeds run over the whole signed axis
@@ -179,22 +184,16 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
         lo, freq = float(gains[k]), float(omegas[k])
     raise RuntimeError(
         f"H-infinity iteration failed: level {hi:.6e} still crossed; "
-        f"lower bound {lo:.6e} at {freq:.6e} rad/s, abscissa {absc:.6e}"
+        f"lower bound {lo:.6e} at {freq:.6e} rad/s, abscissa {ss.abscissa:.6e}"
     )
 
 
-def _hurwitz_realization(model: SystemModel):
-    """The steps every verdict starts with: structural validation, the
-    state-space realization and the Hurwitz test of F at the default
-    tolerance.  Returns (ss, eigenvalues of F, abscissa, tolerance, hurwitz)."""
+def _validated_state_space(model: SystemModel) -> StateSpace:
+    """The realization every verdict starts from, after structural validation."""
     violations = validate_model(model)
     if violations:
         raise ValueError("model fails structural validation: " + "; ".join(violations))
-    ss = state_space(model)
-    ev = np.linalg.eigvals(ss.A)
-    absc = float(np.max(ev.real))
-    htol = default_hurwitz_tol(ss.A)
-    return ss, ev, absc, htol, absc < -htol
+    return state_space(model)
 
 
 def is_certified(model: SystemModel) -> bool:
@@ -207,8 +206,8 @@ def is_certified(model: SystemModel) -> bool:
     norm lies within `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then
     refuses, because its upper bound is not below gamma/2, while this test
     decides at gamma/2 itself."""
-    ss, _, _, _, hurwitz = _hurwitz_realization(model)
-    return bool(hurwitz) and _imag_axis_crossings(ss, model.gamma / 2.0).size == 0
+    ss = _validated_state_space(model)
+    return ss.hurwitz and _imag_axis_crossings(ss, model.gamma / 2.0).size == 0
 
 
 def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
@@ -216,15 +215,15 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
 
     certified iff F is Hurwitz and the H-infinity norm of the perturbation
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
-    tolerances are the defaults of `default_hurwitz_tol`, `hinf_norm` and
-    `validate_model`; the certificate records the first two.  `margin` must
-    be finite with 0 <= margin < 1."""
+    tolerances are `StateSpace.hurwitz_tol`, `hinf_norm`'s default rel_tol
+    and `validate_model`'s fixed DEFAULT_VALIDATION_TOL; the certificate
+    records the first two.  `margin` must be finite with 0 <= margin < 1."""
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
-    ss, ev, absc, htol, hurwitz = _hurwitz_realization(model)
+    ss = _validated_state_space(model)
     gamma_half = model.gamma / 2.0
 
-    if hurwitz:
+    if ss.hurwitz:
         norm, freq = hinf_norm(ss)
         certified = norm < gamma_half * (1.0 - margin)
     else:
@@ -232,13 +231,13 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
         certified = False
 
     return StabilityCertificate(
-        eigenvalues_F=tuple(complex(z) for z in ev),
-        spectral_abscissa=absc,
-        hurwitz=bool(hurwitz),
+        eigenvalues_F=tuple(complex(z) for z in ss.eigenvalues),
+        spectral_abscissa=ss.abscissa,
+        hurwitz=ss.hurwitz,
         hinf_norm=float(norm),
         hinf_freq=float(freq),
         gamma_half=gamma_half,
         certified=bool(certified),
-        hurwitz_tol=htol,
+        hurwitz_tol=ss.hurwitz_tol,
         hinf_tol=HINF_DEFAULT_REL_TOL,
     )

@@ -71,27 +71,19 @@ def find_threshold(
     is `is_certified`: the Hurwitz test of F and one imaginary-axis eigen
     test of the level-set matrix at gamma/2, with no norm computed.
     Monotonicity of the certified predicate is observed rather than proven,
-    so it is audited post hoc on a log grid over the original bracket."""
+    so a 20-point log grid from lo to hi (exactly) is audited first; its end
+    verdicts are the bracket checks.  The bisection then runs from [lo, hi]."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    if _certified_at(params, lo):
-        raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
-    if not _certified_at(params, hi):
-        raise ValueError(f"bracket invalid: not certified at hi = {hi:.6e}")
-
-    lo0, hi0 = lo, hi
-    while hi - lo > rel_tol * lo:
-        mid = math.sqrt(lo * hi)
-        if _certified_at(params, mid):
-            hi = mid
-        else:
-            lo = mid
-    star = math.sqrt(lo * hi)
-
-    audit = np.logspace(math.log10(lo0), math.log10(hi0), THRESHOLD_AUDIT_POINTS)
+    audit = np.logspace(math.log10(lo), math.log10(hi), THRESHOLD_AUDIT_POINTS)
+    audit[0], audit[-1] = lo, hi
     flags = [_certified_at(params, k2) for k2 in audit]
+    if flags[0]:
+        raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
+    if not flags[-1]:
+        raise ValueError(f"bracket invalid: not certified at hi = {hi:.6e}")
     for (k_prev, f_prev), (k_next, f_next) in zip(
         zip(audit, flags), zip(audit[1:], flags[1:])
     ):
@@ -100,7 +92,14 @@ def find_threshold(
                 "certified predicate is not monotone on the bracket: "
                 f"certified at kappa2={k_prev:.6e} but not at {k_next:.6e}"
             )
-    return star
+
+    while hi - lo > rel_tol * lo:
+        mid = math.sqrt(lo * hi)
+        if _certified_at(params, mid):
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi)
 
 
 def _bode_row(omega: float, g: complex) -> BodeRow:
@@ -126,7 +125,7 @@ def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[Bod
         raise ValueError(f"need n_points >= 2, got {n_points}")
     ss = state_space(model)
     grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), n_points)
-    seeds = np.abs(np.linalg.eigvals(ss.A).imag)
+    seeds = np.abs(ss.eigenvalues.imag)
     seeds = seeds[(seeds >= omega_lo) & (seeds <= omega_hi)]
     omegas = np.unique(np.concatenate([grid, seeds]))
     try:

@@ -91,6 +91,15 @@ class TestCertify:
         path = tmp_path / "nope.json"
         assert main(["certify", "--model", str(path)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("edit", [None, {"M": [[1, 2]]}])
+    def test_malformed_model_exit_one(self, tmp_path, capsys, paper_model, edit):
+        d = {"n_modes": 2} if edit is None else {**json.loads(paper_model.to_json()), **edit}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["certify", "--model", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_csv_output(self, capsys):
@@ -244,6 +253,12 @@ class TestSimulate:
             row.append(float(ns))
             rows.append(row)
         assert out.read_text() == format_csv(header, rows)
+
+    def test_malformed_v0_exit_one(self, model_file, tmp_path, capsys):
+        assert main(["simulate", "--model", model_file, "--v0", "[1,2]",
+                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: --v0[0] must be a [re, im] pair of numbers, got 1\n"
 
     @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])
     def test_nonfinite_steps_exit_one(self, model_file, tmp_path, capsys, flags):

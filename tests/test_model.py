@@ -71,9 +71,14 @@ class TestValidateModel:
     def test_idempotent_and_pure(self, paper_model):
         assert validate_model(paper_model) == validate_model(paper_model)
 
-    def test_negative_tol_rejected(self, paper_model):
-        with pytest.raises(ValueError):
-            validate_model(paper_model, tol=-1e-9)
+
+class TestPhysicalParams:
+    def test_replace_validates_and_rejects_unknown_fields(self, paper_params):
+        assert paper_params.replace(kappa2=1e12).kappa2 == 1e12
+        with pytest.raises(ValueError, match="coupling rates"):
+            paper_params.replace(kappa2=-1.0)
+        with pytest.raises(TypeError):
+            paper_params.replace(kappa3=1.0)
 
 
 class TestSerialization:
@@ -95,6 +100,23 @@ class TestSerialization:
         again = jc.SystemModel.from_json(m.to_json())
         assert np.array_equal(again.M, m.M)
         assert np.array_equal(again.Etilde, m.Etilde)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"M": None}, "lacks key 'M'"),
+        ({"M": [[1, 2]]}, r"M\[0\]\[0\] must be a \[re, im\] pair"),
+        ({"N": 3}, "N must be a list of rows"),
+        ({"Etilde": [[[1.0, "x"], [0, 0]]]}, r"Etilde\[0\]\[0\]"),
+        ({"n_modes": 2.0}, "n_modes must be an integer"),
+        ({"gamma": "big"}, "gamma must be a number"),
+    ], ids=["missing-key", "bad-pair", "not-rows", "bad-number", "float-n_modes", "string-gamma"])
+    def test_malformed_json_names_the_entry(self, paper_model, edit, message):
+        import json
+
+        d = json.loads(paper_model.to_json())
+        d.update(edit)
+        d = {k: v for k, v in d.items() if v is not None}
+        with pytest.raises(ValueError, match=message):
+            jc.SystemModel.from_json(json.dumps(d))
 
 
 class TestRecordJson:

@@ -387,3 +387,34 @@ class TestIsCertified:
             is_certified(bad)
         assert str(got.value) == str(want.value)
         assert "validation" in str(got.value)
+
+
+class TestSpectrumOnce:
+    """One 4x4 eigen-decomposition of F per model and verdict; the 8x8
+    level-set matrices are the norm search's business and not counted."""
+
+    @pytest.mark.parametrize("call", [
+        certify,
+        is_certified,
+        lambda m: jc.bode_csv(m, 1e9, 1e13, 50),
+    ], ids=["certify", "is_certified", "bode_csv"])
+    def test_one_eigvals_of_F(self, paper_model, monkeypatch, call):
+        eigvals, shapes = np.linalg.eigvals, []
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        call(paper_model)
+        assert shapes.count((4, 4)) == 1
+
+    def test_state_space_holds_spectrum(self, paper_model):
+        ss = state_space(paper_model)
+        F = build_F(paper_model)
+        assert np.array_equal(ss.eigenvalues, np.linalg.eigvals(F))
+        assert ss.abscissa == spectral_abscissa(F)
+        assert ss.hurwitz is True and is_hurwitz(F)
+        cert = certify(paper_model)
+        assert cert.eigenvalues_F == tuple(complex(z) for z in ss.eigenvalues)
+        assert cert.hurwitz_tol == ss.hurwitz_tol

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jjcavity import sweep
 from jjcavity.builder import build_model
 from jjcavity.stability import build_F, certify
 from jjcavity.sweep import (
@@ -72,6 +73,33 @@ class TestFindThreshold:
         for rel_tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="rel_tol"):
                 find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
+
+    def test_audit_catches_non_monotone_predicate(self, paper_params, monkeypatch):
+        # certified on [2e11, 4e11) and from 1e12 up: the audit must name the
+        # audit pair that straddles 4e11
+        def certified(p, k2):
+            return 2e11 <= k2 < 4e11 or k2 >= 1e12
+
+        monkeypatch.setattr(sweep, "_certified_at", certified)
+        audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
+        k = int(np.searchsorted(audit, 4e11))
+        with pytest.raises(RuntimeError, match="not monotone") as exc:
+            find_threshold(paper_params, 1e11, 1e13)
+        assert f"kappa2={audit[k - 1]:.6e} but not at {audit[k]:.6e}" in str(exc.value)
+
+    # np.logspace returns 2e12 and 2.4e12 an ulp off, 1e11 and 1e13 exactly
+    @pytest.mark.parametrize("lo, hi", [(1e11, 1e13), (2e12, 2.4e12)])
+    def test_each_verdict_once_audit_ends_are_bracket(self, paper_params, monkeypatch, lo, hi):
+        seen = []
+
+        def certified(p, k2):
+            seen.append(k2)
+            return k2 >= 2.1692e12
+
+        monkeypatch.setattr(sweep, "_certified_at", certified)
+        find_threshold(paper_params, lo, hi)
+        assert len(set(seen)) == len(seen)
+        assert seen[0] == lo and seen[sweep.THRESHOLD_AUDIT_POINTS - 1] == hi
 
     def test_equals_bisection_on_certify(self, paper_params):
         # the level-set verdicts bisect to the same point as certify's
