@@ -16,7 +16,7 @@ import numpy as np
 
 from .builder import build_model
 from .model import SystemModel, _decode_pairs
-from .params import PhysicalParams
+from .params import PhysicalParams, _checked_fields
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
 from .stability import build_F, certify
@@ -53,7 +53,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 def _params_from_args(args) -> PhysicalParams:
     if args.params_json:
         with open(args.params_json) as fh:
-            base = json.load(fh)
+            base = _checked_fields(json.load(fh))
     else:
         base = {}
     for f in fields(PhysicalParams):

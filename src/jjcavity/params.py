@@ -58,7 +58,24 @@ class PhysicalParams:
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":
-        return cls(**json.loads(text))
+        """Parse `to_json` output; see `_checked_fields` for what is rejected."""
+        return cls(**_checked_fields(json.loads(text)))
+
+
+def _checked_fields(obj) -> dict:
+    """`obj`, a parsed JSON value, as PhysicalParams keyword arguments: it
+    must be an object whose keys are PhysicalParams fields and whose values
+    are real numbers (not booleans).  A ValueError names the bad key.
+    Missing fields are left for the constructor to report."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"parameters JSON must be an object, got {type(obj).__name__}")
+    names = {f.name for f in fields(PhysicalParams)}
+    for key, value in obj.items():
+        if key not in names:
+            raise ValueError(f"unknown parameter {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"parameter {key} must be a real number, got {value!r}")
+    return obj
 
 
 def reference_params() -> PhysicalParams:

@@ -1,11 +1,16 @@
 """Strict bounded-real certification: F matrix, Hurwitz test, transfer
-function, H-infinity norm, and the final certificate."""
+function, H-infinity norm, and the final certificate.
+
+The Hurwitz test, the norm search and the verdict run on a stack of
+models of one order at once, each step one stacked LAPACK call; a single
+model is the stack of one."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +25,21 @@ HINF_MAX_ITER = 30
 IMAG_AXIS_REL_TOL = 1e-8
 
 
+def _spectra(A: np.ndarray):
+    """(eigenvalues, abscissa, hurwitz_tol, hurwitz) of A, or of each matrix
+    of a (k, n, n) stack, from one eigvals call, with the one Hurwitz rule:
+    abscissa < -hurwitz_tol = -1e-6 eps max(1, max |A_ij|)."""
+    ev = np.linalg.eigvals(A)
+    abscissa = ev.real.max(axis=-1)
+    tol = 1e-6 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) * np.finfo(float).eps
+    return ev, abscissa, tol, abscissa < -tol
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Strictly proper single-channel system G(s) = C (sI - A)^-1 B, with
-    the spectrum of A computed once and the one Hurwitz rule applied to it:
-    abscissa < -hurwitz_tol = -1e-6 eps max(1, max |A_ij|)."""
+    the spectrum of A and its Hurwitz verdict computed once, by the rule of
+    `_spectra`."""
 
     A: np.ndarray
     B: np.ndarray
@@ -42,10 +57,26 @@ class StateSpace:
             raise ValueError(f"A must be square, got {A.shape}")
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(n, 1))
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(1, n))
-        object.__setattr__(self, "eigenvalues", np.linalg.eigvals(A))
-        object.__setattr__(self, "abscissa", float(np.max(self.eigenvalues.real)))
-        object.__setattr__(self, "hurwitz_tol", 1e-6 * max(1.0, float(np.max(np.abs(A)))) * np.finfo(float).eps)
-        object.__setattr__(self, "hurwitz", bool(self.abscissa < -self.hurwitz_tol))
+        ev, abscissa, tol, hurwitz = _spectra(A)
+        object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "abscissa", float(abscissa))
+        object.__setattr__(self, "hurwitz_tol", float(tol))
+        object.__setattr__(self, "hurwitz", bool(hurwitz))
+
+
+class _Stack(NamedTuple):
+    """Systems of one order n stacked along a leading axis: A (k, n, n),
+    B (k, n, 1), C (k, 1, n)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+    def take(self, rows) -> "_Stack":
+        """The systems at the ascending, distinct indices `rows`."""
+        if len(rows) == len(self.A):
+            return self
+        return _Stack(self.A[rows], self.B[rows], self.C[rows])
 
 
 @dataclass(frozen=True)
@@ -64,21 +95,24 @@ class StabilityCertificate:
         return json.dumps(asdict(self), default=_encode_complex)
 
 
+def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray):
+    """(A, B, C) of the perturbation channel of one model, or of each model
+    of a stack of one order n: A = F = -i J M - (1/2) J N^dag J N,
+    B = J Sigma Etilde^T, C = Etilde# Sigma, D = 0."""
+    J = j_matrix(n_modes)
+    sig = sigma_matrix(n_modes)
+    F = -1j * (J @ M) - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N)
+    return F, J @ sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig
+
+
 def build_F(model: SystemModel) -> np.ndarray:
     """F = -i J M - (1/2) J N^dag J N."""
-    J = j_matrix(model.n_modes)
-    return -1j * (J @ model.M) - 0.5 * (J @ model.N.conj().T @ J @ model.N)
+    return _realization(model.n_modes, model.M, model.N, model.Etilde)[0]
 
 
 def state_space(model: SystemModel) -> StateSpace:
-    """The transfer-function realization of the perturbation channel:
-    A = F, B = J Sigma Etilde^T, C = Etilde# Sigma, D = 0."""
-    J = j_matrix(model.n_modes)
-    sig = sigma_matrix(model.n_modes)
-    F = build_F(model)
-    B = J @ sig @ model.Etilde.T
-    C = model.Etilde.conj() @ sig
-    return StateSpace(A=F, B=B, C=C)
+    """The transfer-function realization of the perturbation channel."""
+    return StateSpace(*_realization(model.n_modes, model.M, model.N, model.Etilde))
 
 
 def spectral_abscissa(F: np.ndarray) -> float:
@@ -91,15 +125,16 @@ def is_hurwitz(F: np.ndarray) -> bool:
     return StateSpace(A=F, B=np.zeros(n), C=np.zeros(n)).hurwitz
 
 
-def transfer_response(ss: StateSpace, s) -> np.ndarray:
+def transfer_response(ss, s) -> np.ndarray:
     """G at every point of the 1-D array `s` (the frequency response when
     s = i w), from one stacked linear solve on the (k, n, n) array of
-    sI - A (never explicit inversion).  A point that is (numerically) an
-    eigenvalue of A fails the whole solve with numpy's LinAlgError."""
+    sI - A (never explicit inversion).  `ss` is a StateSpace, or a stack
+    of systems with one system per point.  A point that is (numerically)
+    an eigenvalue of A fails the whole solve with numpy's LinAlgError."""
     s = np.asarray(s, dtype=complex).reshape(-1)
-    n = ss.A.shape[0]
+    n = ss.A.shape[-1]
     lhs = s[:, None, None] * np.eye(n, dtype=complex) - ss.A
-    x = np.linalg.solve(lhs, np.broadcast_to(ss.B, (s.size, n, 1)))
+    x = np.linalg.solve(lhs, ss.B.reshape(-1, n, 1))
     return (ss.C @ x)[:, 0, 0]
 
 
@@ -113,25 +148,115 @@ def transfer_eval(ss: StateSpace, s: complex) -> complex:
         ) from exc
 
 
-def _level_set_matrix(ss: StateSpace, level: float) -> np.ndarray:
-    A, B, C = ss.A, ss.B, ss.C
-    n = A.shape[0]
-    H = np.empty((2 * n, 2 * n), dtype=complex)
-    H[:n, :n] = A
-    H[:n, n:] = (B @ B.conj().T) / level
-    H[n:, :n] = -(C.conj().T @ C) / level
-    H[n:, n:] = -A.conj().T
-    return H
+def _unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a finite 1-D array, without its per-call overhead: the
+    same sort, keeping the first of each run of equal values."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
-def _imag_axis_crossings(ss: StateSpace, level: float) -> np.ndarray:
-    """Frequencies where some eigenvalue of the level-set matrix sits on the
-    imaginary axis; empty iff the gain stays strictly below `level`."""
-    H = _level_set_matrix(ss, level)
+def _peak_gains(st: _Stack, rows: list, omegas: list) -> list[tuple[float, float]]:
+    """(largest |G(i w)|, its w) of each system st[rows[j]] over its own
+    frequency array omegas[j], from one stacked solve over all of them."""
+    sizes = [w.size for w in omegas]
+    if len(st.A) == 1:  # a stack of one broadcasts over the points
+        w = omegas[0]
+    else:
+        w = np.concatenate(omegas)
+        idx = np.repeat(rows, sizes)
+        st = _Stack(st.A[idx], st.B[idx], st.C[idx])
+    gains = np.abs(transfer_response(st, 1j * w))
+    peaks, start = [], 0
+    for size in sizes:
+        k = start + int(gains[start:start + size].argmax())
+        peaks.append((float(gains[k]), float(w[k])))
+        start += size
+    return peaks
+
+
+def _imag_axis_crossings(st: _Stack, levels) -> list[np.ndarray]:
+    """For each system of `st`, the frequencies where some eigenvalue of its
+    level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L, -A^H]],
+    sits on the imaginary axis; empty iff its gain stays strictly below L.
+    One eigvals call on the (k, 2n, 2n) stack."""
+    A, B, C = st
+    k, n = A.shape[:2]
+    level = np.asarray(levels, dtype=float)[:, None, None]
+    H = np.empty((k, 2 * n, 2 * n), dtype=complex)
+    H[:, :n, :n] = A
+    H[:, :n, n:] = (B @ B.conj().transpose(0, 2, 1)) / level
+    H[:, n:, :n] = -(C.conj().transpose(0, 2, 1) @ C) / level
+    H[:, n:, n:] = -A.conj().transpose(0, 2, 1)
     ev = np.linalg.eigvals(H)
-    tol = IMAG_AXIS_REL_TOL * max(1.0, float(np.max(np.abs(H))))
-    on_axis = ev[np.abs(ev.real) <= tol]
-    return np.unique(on_axis.imag)
+    tol = IMAG_AXIS_REL_TOL * np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+    return [_unique(e.imag[np.abs(e.real) <= t]) for e, t in zip(ev, tol)]
+
+
+def _hinf_norms(st: _Stack, eigenvalues: np.ndarray, abscissa: np.ndarray,
+                rel_tol: float) -> list:
+    """`hinf_norm` on every system of a stack of Hurwitz systems at once:
+    one (norm, frequency) per system, or the RuntimeError that ends its
+    iteration.  Each step is one stacked level-set test over the systems
+    still crossing, then one solve over all their crossings and midpoints."""
+    k, n = eigenvalues.shape
+    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
+    # in w and the seeds run over the whole signed axis
+    radii = np.abs(eigenvalues)
+    extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
+    seeds = [_unique(w) for w in np.concatenate(
+        [np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1)]
+    lo, freq = map(list, zip(*_peak_gains(st, range(k), seeds)))
+    hi = [math.nan] * k
+    out: list = [None] * k
+    active = []
+    for i in range(k):
+        if lo[i] != 0.0:
+            active.append(i)
+        elif not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
+            # G == 0 iff every Markov parameter C A^p B, p < n, is zero
+            out[i] = (0.0, 0.0)
+        else:
+            out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
+
+    for _ in range(HINF_MAX_ITER):
+        if not active:
+            break
+        for i in active:
+            hi[i] = (1.0 + rel_tol / 5.0) * lo[i]
+        crossing, omegas = [], []
+        for i, c in zip(active, _imag_axis_crossings(st.take(active), [hi[i] for i in active])):
+            if c.size == 0:
+                out[i] = (hi[i], freq[i])
+            else:
+                crossing.append(i)
+                omegas.append(np.concatenate([c, (c[:-1] + c[1:]) / 2.0]))
+        active = []
+        for i, (g, w) in zip(crossing, _peak_gains(st, crossing, omegas) if crossing else ()):
+            if g > lo[i]:
+                lo[i], freq[i] = g, w
+                active.append(i)
+            else:
+                out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+    for i in active:
+        out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+    return out
+
+
+def _failed(hi: float, lo: float, freq: float, abscissa: float) -> RuntimeError:
+    return RuntimeError(
+        f"H-infinity iteration failed: level {hi:.6e} still crossed; "
+        f"lower bound {lo:.6e} at {freq:.6e} rad/s, abscissa {abscissa:.6e}"
+    )
+
+
+def _raised(result):
+    """`result`, or raise it when it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[float, float]:
@@ -148,52 +273,68 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     complex state matrices.  No crossing means the gain stays below hi on
     the whole (signed) axis, and hi is returned.  Otherwise `lo` rises to the
     largest gain at the crossings and the midpoints between consecutive
-    ones; the gains come from one stacked solve each time.
-    Requires `ss.hurwitz`, otherwise the axis supremum is not the norm; the
-    seeds come from the spectrum `ss` holds, with no eigvals call here."""
+    ones; a step that cannot raise it, or HINF_MAX_ITER steps, raise
+    RuntimeError.  Requires `ss.hurwitz`, otherwise the axis supremum is not
+    the norm; the seeds come from the spectrum `ss` holds.  This is the
+    stack of one of `_hinf_norms`, which `certify_all` runs on many."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not ss.hurwitz:
         raise ValueError("norm undefined: A is not Hurwitz")
-    ev = ss.eigenvalues
-
-    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
-    # in w and the seeds run over the whole signed axis
-    radii = np.abs(ev)
-    extra = radii.max() * np.arange(2, ev.size + 2)
-    omegas = np.unique(np.concatenate([[0.0], ev.imag, radii, -radii, extra]))
-    gains = np.abs(transfer_response(ss, 1j * omegas))
-    k = int(np.argmax(gains))
-    lo, freq = float(gains[k]), float(omegas[k])
-    if lo == 0.0:
-        # G == 0 iff every Markov parameter C A^k B, k < n, is zero
-        if not any(np.any(ss.C @ np.linalg.matrix_power(ss.A, i) @ ss.B) for i in range(ev.size)):
-            return 0.0, 0.0
-        raise RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-
-    for _ in range(HINF_MAX_ITER):
-        hi = (1.0 + rel_tol / 5.0) * lo
-        crossings = _imag_axis_crossings(ss, hi)
-        if crossings.size == 0:
-            return hi, freq
-        omegas = np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2.0])
-        gains = np.abs(transfer_response(ss, 1j * omegas))
-        k = int(np.argmax(gains))
-        if not gains[k] > lo:
-            break
-        lo, freq = float(gains[k]), float(omegas[k])
-    raise RuntimeError(
-        f"H-infinity iteration failed: level {hi:.6e} still crossed; "
-        f"lower bound {lo:.6e} at {freq:.6e} rad/s, abscissa {ss.abscissa:.6e}"
-    )
+    st = _Stack(ss.A[None], ss.B[None], ss.C[None])
+    return _raised(_hinf_norms(st, ss.eigenvalues[None], [ss.abscissa], rel_tol)[0])
 
 
-def _validated_state_space(model: SystemModel) -> StateSpace:
-    """The realization every verdict starts from, after structural validation."""
-    violations = validate_model(model)
-    if violations:
-        raise ValueError("model fails structural validation: " + "; ".join(violations))
-    return state_space(model)
+def _per_model(models, decide) -> list:
+    """One result per model, in order: the exception that validating it
+    raised, or what `decide(stack, spectra, gamma_half)` gives for it.
+
+    decide runs once on all valid models of one order n, stacked, with
+    their spectra from one eigvals call.  A LinAlgError from a stacked
+    LAPACK call redoes that batch one model at a time, so that only the
+    models that fail alone carry the error."""
+    out: list = [None] * len(models)
+    batches: dict = {}
+    for i, model in enumerate(models):
+        try:
+            violations = validate_model(model)
+            if violations:
+                raise ValueError("model fails structural validation: " + "; ".join(violations))
+            batches.setdefault(model.n_modes, []).append(i)
+        except Exception as exc:  # the model's own result, raised by its single-model caller
+            out[i] = exc
+
+    def run(rows):
+        batch = [models[i] for i in rows]
+        M, N, Etilde = (np.array([getattr(m, name) for m in batch]) for name in ("M", "N", "Etilde"))
+        st = _Stack(*_realization(batch[0].n_modes, M, N, Etilde))
+        try:
+            return decide(st, _spectra(st.A), [m.gamma / 2.0 for m in batch])
+        except np.linalg.LinAlgError as exc:
+            return [exc] if len(rows) == 1 else [run([i])[0] for i in rows]
+
+    for rows in batches.values():
+        for i, result in zip(rows, run(rows)):
+            out[i] = result
+    return out
+
+
+def is_certified_all(models) -> list:
+    """`is_certified` on every model at once: one verdict per model, in
+    order, or the exception `is_certified` raises for it.  One stacked
+    spectrum and one stacked level-set test at gamma/2 per order n."""
+
+    def decide(st, spectra, gamma_half):
+        hurwitz = spectra[3]
+        rows = np.flatnonzero(hurwitz)
+        verdicts = [False] * len(gamma_half)
+        if rows.size:
+            crossings = _imag_axis_crossings(st.take(rows), [gamma_half[i] for i in rows])
+            for i, c in zip(rows.tolist(), crossings):
+                verdicts[i] = c.size == 0
+        return verdicts
+
+    return _per_model(models, decide)
 
 
 def is_certified(model: SystemModel) -> bool:
@@ -206,8 +347,41 @@ def is_certified(model: SystemModel) -> bool:
     norm lies within `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then
     refuses, because its upper bound is not below gamma/2, while this test
     decides at gamma/2 itself."""
-    ss = _validated_state_space(model)
-    return ss.hurwitz and _imag_axis_crossings(ss, model.gamma / 2.0).size == 0
+    return _raised(is_certified_all([model])[0])
+
+
+def certify_all(models, margin: float = 0.0) -> list:
+    """`certify` on every model at once: one StabilityCertificate per model,
+    in order, or the exception `certify` raises for it.  The spectra, each
+    level-set test and each gain solve are one stacked call across the
+    models, and the results are bit for bit those of `certify`."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
+
+    def decide(st, spectra, gamma_half):
+        ev, abscissa, tol, hurwitz = spectra
+        rows = np.flatnonzero(hurwitz)
+        norms = [(math.nan, math.nan)] * len(gamma_half)
+        if rows.size:
+            found = _hinf_norms(st.take(rows), ev[rows], abscissa[rows], HINF_DEFAULT_REL_TOL)
+            for i, result in zip(rows.tolist(), found):
+                norms[i] = result
+        out = []
+        for e, a, t, h, g, result in zip(ev.tolist(), abscissa.tolist(), tol.tolist(),
+                                         hurwitz.tolist(), gamma_half, norms):
+            if isinstance(result, Exception):
+                out.append(result)
+                continue
+            norm, freq = result
+            out.append(StabilityCertificate(
+                eigenvalues_F=tuple(e), spectral_abscissa=a, hurwitz=h,
+                hinf_norm=float(norm), hinf_freq=float(freq), gamma_half=g,
+                certified=h and norm < g * (1.0 - margin),
+                hurwitz_tol=t, hinf_tol=HINF_DEFAULT_REL_TOL,
+            ))
+        return out
+
+    return _per_model(models, decide)
 
 
 def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
@@ -217,27 +391,6 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
     tolerances are `StateSpace.hurwitz_tol`, `hinf_norm`'s default rel_tol
     and `validate_model`'s fixed DEFAULT_VALIDATION_TOL; the certificate
-    records the first two.  `margin` must be finite with 0 <= margin < 1."""
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
-    ss = _validated_state_space(model)
-    gamma_half = model.gamma / 2.0
-
-    if ss.hurwitz:
-        norm, freq = hinf_norm(ss)
-        certified = norm < gamma_half * (1.0 - margin)
-    else:
-        norm, freq = float("nan"), float("nan")
-        certified = False
-
-    return StabilityCertificate(
-        eigenvalues_F=tuple(complex(z) for z in ss.eigenvalues),
-        spectral_abscissa=ss.abscissa,
-        hurwitz=ss.hurwitz,
-        hinf_norm=float(norm),
-        hinf_freq=float(freq),
-        gamma_half=gamma_half,
-        certified=bool(certified),
-        hurwitz_tol=ss.hurwitz_tol,
-        hinf_tol=HINF_DEFAULT_REL_TOL,
-    )
+    records the first two.  `margin` must be finite with 0 <= margin < 1.
+    This is `certify_all` on one model."""
+    return _raised(certify_all([model], margin)[0])

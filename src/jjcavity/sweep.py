@@ -10,7 +10,8 @@ import numpy as np
 
 from .builder import build_model
 from .params import PhysicalParams
-from .stability import certify, is_certified, state_space, transfer_eval, transfer_response
+from .stability import _raised, certify_all, is_certified_all, state_space, transfer_eval, transfer_response
+from .stability import certify  # noqa: F401  (still reachable as sweep.certify; bench/tests checks its tracing)
 
 THRESHOLD_AUDIT_POINTS = 20
 CSV_FLOAT_FMT = "{:.17g}"
@@ -33,32 +34,38 @@ class BodeRow:
     error: str | None = None
 
 
-def _certified_at(params: PhysicalParams, kappa2: float) -> bool:
-    return is_certified(build_model(params.replace(kappa2=kappa2)))
+def _sweep(params: PhysicalParams, rows: list[dict], decide) -> list:
+    """`decide` (certify_all or is_certified_all) on the models built from
+    params.replace(**row) for every row at once: one result per row, in
+    order, or the exception that building, validating or deciding its
+    model raised."""
+    built = []
+    for row in rows:
+        try:
+            built.append(build_model(params.replace(**row)))
+        except Exception as exc:  # the row's own result
+            built.append(exc)
+    decided = iter(decide([m for m in built if not isinstance(m, Exception)]))
+    return [m if isinstance(m, Exception) else next(decided) for m in built]
+
+
+def _certified_at(params: PhysicalParams, kappa2_values) -> list[bool]:
+    """The verdict at each coupling value, from one stacked verdict call."""
+    return [_raised(r) for r in _sweep(params, [{"kappa2": k2} for k2 in kappa2_values], is_certified_all)]
 
 
 def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
-    """One record per coupling value, in input order; individual failures are
-    recorded in-row and the sweep continues."""
+    """One record per coupling value, in input order, from one stacked
+    certification; a row that fails carries its error in-row."""
+    values = [float(k2) for k2 in kappa2_values]
     records = []
-    for k2 in kappa2_values:
-        try:
-            cert = certify(build_model(params.replace(kappa2=float(k2))))
-            records.append(
-                SweepRecord(
-                    kappa2=float(k2),
-                    hinf_norm=cert.hinf_norm,
-                    hurwitz=cert.hurwitz,
-                    certified=cert.certified,
-                )
-            )
-        except Exception as exc:  # keep sweeping past bad rows
-            records.append(
-                SweepRecord(
-                    kappa2=float(k2), hinf_norm=float("nan"),
-                    hurwitz=False, certified=False, error=str(exc),
-                )
-            )
+    for k2, cert in zip(values, _sweep(params, [{"kappa2": k2} for k2 in values], certify_all)):
+        if isinstance(cert, Exception):
+            records.append(SweepRecord(kappa2=k2, hinf_norm=float("nan"),
+                                       hurwitz=False, certified=False, error=str(cert)))
+        else:
+            records.append(SweepRecord(kappa2=k2, hinf_norm=cert.hinf_norm,
+                                       hurwitz=cert.hurwitz, certified=cert.certified))
     return records
 
 
@@ -71,15 +78,16 @@ def find_threshold(
     is `is_certified`: the Hurwitz test of F and one imaginary-axis eigen
     test of the level-set matrix at gamma/2, with no norm computed.
     Monotonicity of the certified predicate is observed rather than proven,
-    so a 20-point log grid from lo to hi (exactly) is audited first; its end
-    verdicts are the bracket checks.  The bisection then runs from [lo, hi]."""
+    so a 20-point log grid from lo to hi (exactly) is audited first, in one
+    stacked verdict call; its end verdicts are the bracket checks.  The
+    bisection then runs from [lo, hi], one verdict per step."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     audit = np.logspace(math.log10(lo), math.log10(hi), THRESHOLD_AUDIT_POINTS)
     audit[0], audit[-1] = lo, hi
-    flags = [_certified_at(params, k2) for k2 in audit]
+    flags = _certified_at(params, audit)
     if flags[0]:
         raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
     if not flags[-1]:
@@ -95,7 +103,7 @@ def find_threshold(
 
     while hi - lo > rel_tol * lo:
         mid = math.sqrt(lo * hi)
-        if _certified_at(params, mid):
+        if _certified_at(params, [mid])[0]:
             hi = mid
         else:
             lo = mid
@@ -138,12 +146,11 @@ def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[Bod
 def kappa1_sensitivity(
     params: PhysicalParams, kappa1_values, kappa2_fixed: float
 ) -> list[tuple[float, float]]:
-    """H-infinity norm per cavity coupling value, junction coupling fixed."""
-    out = []
-    for k1 in kappa1_values:
-        cert = certify(build_model(params.replace(kappa1=float(k1), kappa2=kappa2_fixed)))
-        out.append((float(k1), cert.hinf_norm))
-    return out
+    """H-infinity norm per cavity coupling value, junction coupling fixed,
+    from one stacked certification; the first failing row raises."""
+    values = [float(k1) for k1 in kappa1_values]
+    certs = _sweep(params, [{"kappa1": k1, "kappa2": kappa2_fixed} for k1 in values], certify_all)
+    return [(k1, _raised(cert).hinf_norm) for k1, cert in zip(values, certs)]
 
 
 def format_csv(header: list[str], rows: list[list]) -> str:

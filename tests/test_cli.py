@@ -47,6 +47,22 @@ class TestBuild:
         with pytest.raises(SystemExit):
             main(["build", "--omega", "1.0"])
 
+    @pytest.mark.parametrize("content, key", [
+        ([1.0], "object, got list"),
+        ({"omega": "x"}, "omega must be a real number, got 'x'"),
+        ({"omega": True}, "omega must be a real number, got True"),
+    ], ids=["list", "string-value", "bool-value"])
+    def test_malformed_params_json_exit_one(self, tmp_path, capsys, paper_params, content, key):
+        if isinstance(content, dict):
+            content = {**json.loads(paper_params.to_json()), **content}
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(content))
+        assert main(["build", "--params-json", str(pfile), "--omega", "1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert key in captured.err
+
 
 class TestCertify:
     def test_certified_exit_zero(self, model_file, capsys):

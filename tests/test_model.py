@@ -80,6 +80,20 @@ class TestPhysicalParams:
         with pytest.raises(TypeError):
             paper_params.replace(kappa3=1.0)
 
+    def test_from_json_round_trip(self, paper_params):
+        assert jc.PhysicalParams.from_json(paper_params.to_json()) == paper_params
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "must be an object, got list"),
+        ('"omega"', "must be an object, got str"),
+        ('{"omega": "x", "g": 0.15, "U": 2.2e-22, "Jp": 3.7e11}', "omega must be a real number, got 'x'"),
+        ('{"omega": true, "g": 0.15, "U": 2.2e-22, "Jp": 3.7e11}', "omega must be a real number, got True"),
+        ('{"omega": 1.0, "g": 0.15, "U": 2.2e-22, "Jp": 3.7e11, "kappa3": 1}', "unknown parameter 'kappa3'"),
+    ], ids=["list", "string", "string-value", "bool-value", "unknown-key"])
+    def test_from_json_rejects_malformed(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            jc.PhysicalParams.from_json(text)
+
 
 class TestSerialization:
     def test_round_trip_bit_for_bit(self, paper_model):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -217,7 +218,8 @@ class TestHinfNorm:
         # a crossing band the gains cannot confirm: the midpoint (w = 0) is
         # the peak already, so lo cannot rise and no level is returned
         ss = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
-        monkeypatch.setattr(stability, "_imag_axis_crossings", lambda ss, level: np.array([-1.0, 1.0]))
+        monkeypatch.setattr(stability, "_imag_axis_crossings",
+                            lambda st, levels: [np.array([-1.0, 1.0])] * len(levels))
         with pytest.raises(RuntimeError, match=r"level 5\.0000\d+e-01 still crossed; lower bound 5\.0+e-01"):
             hinf_norm(ss)
 
@@ -402,7 +404,7 @@ class TestSpectrumOnce:
         eigvals, shapes = np.linalg.eigvals, []
 
         def counting(a):
-            shapes.append(np.shape(a))
+            shapes.append(np.shape(a)[-2:])
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
@@ -418,3 +420,92 @@ class TestSpectrumOnce:
         cert = certify(paper_model)
         assert cert.eigenvalues_F == tuple(complex(z) for z in ss.eigenvalues)
         assert cert.hurwitz_tol == ss.hurwitz_tol
+
+
+def batch_models(paper_model):
+    """Random draws mixed with a non-Hurwitz model, the paper model, a
+    G == 0 model, an invalid model and a model of another order."""
+    rng = np.random.default_rng(67)
+    models = [make_random_model(rng) for _ in range(12)]
+    N2 = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+    unstable = jc.SystemModel(n_modes=2, M=np.zeros((4, 4)), N=N2, Etilde=build_zeta(), gamma=1e3)
+    zero_channel = jc.SystemModel(n_modes=2, M=np.zeros((4, 4)), N=build_coupling(3.0, 11.0),
+                                  Etilde=np.zeros((1, 4)), gamma=1.0)
+    M = paper_model.M.copy()
+    M[0, 1] += np.max(np.abs(M))
+    invalid = dataclasses.replace(paper_model, M=M)
+    one_mode = jc.SystemModel(n_modes=1, M=np.diag([2.0, 2.0]), N=np.diag([0.5, 0.5]),
+                              Etilde=[[1.0, 0.0]], gamma=1.0)
+    models[3:3] = [unstable, paper_model, zero_channel, invalid, one_mode]
+    return models
+
+
+def outcome(call, *args):
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return result.to_json() if hasattr(result, "to_json") else repr(result)
+
+
+class TestBatch:
+    """A model's result is bit for bit the same alone and inside a batch."""
+
+    def test_certify_all_matches_certify(self, paper_model):
+        models = batch_models(paper_model)
+        alone = [outcome(certify, m) for m in models]
+        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        assert got == alone
+        got = [outcome(stability._raised, r) for r in jc.certify_all(models[::-1])]
+        assert got == alone[::-1]
+        assert '"hurwitz": false' in alone[3]
+        assert "validation" in alone[6]
+        assert json.loads(alone[5])["hinf_norm"] == 0.0
+
+    def test_is_certified_all_matches_is_certified(self, paper_model):
+        models = batch_models(paper_model)
+        alone = [outcome(is_certified, m) for m in models]
+        got = [outcome(stability._raised, r) for r in jc.is_certified_all(models)]
+        assert got == alone
+        assert "True" in alone and "False" in alone
+
+    def test_bad_margin_and_empty_batch(self, paper_model):
+        with pytest.raises(ValueError, match="margin"):
+            jc.certify_all([paper_model], margin=1.0)
+        assert jc.certify_all([]) == []
+
+    def test_stall_stays_in_its_row(self, paper_model, monkeypatch):
+        # a crossing at w = 0, a seed already, cannot raise lo: only the
+        # model with that A stalls
+        models = batch_models(paper_model)
+        want = [outcome(certify, m) for m in models]
+        target = build_F(models[0])
+        crossings = stability._imag_axis_crossings
+
+        def forced(st, levels):
+            hit = [np.array_equal(A, target) for A in st.A]
+            return [np.array([0.0]) if h else c for h, c in zip(hit, crossings(st, levels))]
+
+        monkeypatch.setattr(stability, "_imag_axis_crossings", forced)
+        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        assert got[0].startswith("RuntimeError: H-infinity iteration failed")
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("size", [4, 8], ids=["spectrum", "level-set"])
+    def test_linalg_error_falls_back_to_each_model_alone(self, paper_model, monkeypatch, size):
+        models = batch_models(paper_model)
+        want = [outcome(certify, m) for m in models]
+        target = build_F(models[1])
+        eigvals = np.linalg.eigvals
+
+        def failing(a):
+            if np.shape(a)[-1] == size and any(np.array_equal(x[:4, :4], target) for x in a.reshape(-1, size, size)):
+                raise np.linalg.LinAlgError("forced failure")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        assert got[1] == "LinAlgError: forced failure"
+        assert got[:1] + got[2:] == want[:1] + want[2:]
+        with pytest.raises(np.linalg.LinAlgError, match="forced"):
+            certify(models[1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jjcavity import sweep
+from jjcavity import stability, sweep
 from jjcavity.builder import build_model
 from jjcavity.stability import build_F, certify
 from jjcavity.sweep import (
@@ -80,7 +80,7 @@ class TestFindThreshold:
         def certified(p, k2):
             return 2e11 <= k2 < 4e11 or k2 >= 1e12
 
-        monkeypatch.setattr(sweep, "_certified_at", certified)
+        monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
         audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
         k = int(np.searchsorted(audit, 4e11))
         with pytest.raises(RuntimeError, match="not monotone") as exc:
@@ -96,7 +96,7 @@ class TestFindThreshold:
             seen.append(k2)
             return k2 >= 2.1692e12
 
-        monkeypatch.setattr(sweep, "_certified_at", certified)
+        monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
         find_threshold(paper_params, lo, hi)
         assert len(set(seen)) == len(seen)
         assert seen[0] == lo and seen[sweep.THRESHOLD_AUDIT_POINTS - 1] == hi
@@ -206,3 +206,82 @@ class TestFormatCsv:
         x = 5.5562431815176533e-13
         text = format_csv(["x"], [[x]])
         assert float(text.strip().split("\n")[1]) == x
+
+
+class TestStackedSweep:
+    """Each sweep row is certified in one stacked pass, and a row that fails
+    fails alone."""
+
+    GRID = list(np.logspace(11.5, 12.8, 12))
+
+    def test_stall_becomes_the_rows_error(self, paper_params, monkeypatch):
+        want = sweep_kappa2(paper_params, self.GRID)
+        target = build_F(build_model(paper_params.replace(kappa2=self.GRID[4])))
+        crossings = stability._imag_axis_crossings
+
+        def forced(st, levels):
+            # w = 0 is a seed, so a crossing there cannot raise lo: a stall
+            hit = [np.array_equal(A, target) for A in st.A]
+            return [np.array([0.0]) if h else c for h, c in zip(hit, crossings(st, levels))]
+
+        monkeypatch.setattr(stability, "_imag_axis_crossings", forced)
+        got = sweep_kappa2(paper_params, self.GRID)
+        assert got[4].error.startswith("H-infinity iteration failed: level")
+        assert math.isnan(got[4].hinf_norm) and not got[4].certified
+        assert got[:4] + got[5:] == want[:4] + want[5:]
+
+    def test_linalg_error_only_in_the_singular_row(self, paper_params, monkeypatch):
+        want = sweep_kappa2(paper_params, self.GRID)
+        target = build_F(build_model(paper_params.replace(kappa2=self.GRID[7])))
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            # a stacks s I - F; F_11 - F_00 = (kappa1 - kappa2)/2 + i(...) tells the rows apart
+            if any(np.isclose(x[0, 0] - x[1, 1], target[1, 1] - target[0, 0], rtol=1e-6)
+                   for x in np.reshape(a, (-1, 4, 4))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        got = sweep_kappa2(paper_params, self.GRID)
+        assert got[7].error == "Singular matrix"
+        assert got[:7] + got[8:] == want[:7] + want[8:]
+        with pytest.raises(np.linalg.LinAlgError):
+            kappa1_sensitivity(paper_params, [1e11], kappa2_fixed=self.GRID[7])
+
+    def test_kappa1_sensitivity_raises_first_bad_row(self, paper_params):
+        with pytest.raises(ValueError, match="coupling rates"):
+            kappa1_sensitivity(paper_params, [1e11, -1.0, -2.0], kappa2_fixed=2.5e12)
+
+
+class TestEigvalsCount:
+    """Eigen-decompositions are stacked: the count does not grow with the
+    number of rows."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        eigvals, shapes = np.linalg.eigvals, []
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        return shapes
+
+    def test_sweep_one_spectrum_and_one_call_per_iteration(self, paper_params, monkeypatch):
+        shapes = self.counting(monkeypatch)
+        recs = sweep_kappa2(paper_params, np.logspace(11, 13, 40))
+        assert all(r.error is None for r in recs)
+        assert shapes[0] == (40, 4, 4)
+        assert all(s[1:] == (8, 8) for s in shapes[1:])
+        assert len(shapes) <= 8
+
+    def test_threshold_audit_is_one_level_set_call(self, paper_params, monkeypatch):
+        shapes = self.counting(monkeypatch)
+        find_threshold(paper_params, 1e11, 1e13)
+        # every audit model is Hurwitz here, so all 20 take the level-set test
+        n = sweep.THRESHOLD_AUDIT_POINTS
+        assert shapes[:2] == [(n, 4, 4), (n, 8, 8)]
+        # then the bisection, one model per verdict
+        assert shapes[2:] == [(1, 4, 4), (1, 8, 8)] * ((len(shapes) - 2) // 2)
