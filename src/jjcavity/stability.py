@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemModel, _encode_complex, j_matrix, sigma_matrix, validate_model
+from .model import SystemModel, _encode_complex, _violations, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
 #: level-set iterations before `hinf_norm` gives up; the iteration converges
@@ -286,36 +286,47 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
 
 
 def _per_model(models, decide) -> list:
-    """One result per model, in order: the exception that validating it
-    raised, or what `decide(stack, spectra, gamma_half)` gives for it.
+    """One result per model, in order: the ValueError that its structural
+    violations raise, or what `decide(stack, spectra, gamma_half)` gives
+    for it.
 
-    decide runs once on all valid models of one order n, stacked, with
-    their spectra from one eigvals call.  A LinAlgError from a stacked
-    LAPACK call redoes that batch one model at a time, so that only the
-    models that fail alone carry the error."""
+    The models of one order n are stacked once: M, N and Etilde are
+    validated in one pass (`model._violations`), and the valid slice of the
+    same arrays gives the realization that decide runs on, with the spectra
+    from one eigvals call.  A sweep's rows share M, Etilde and the sector
+    constants of one build (F is affine in the coupling rates), so only N
+    differs along such a stack.  A LinAlgError from a stacked LAPACK call
+    redoes that batch one model at a time, so that only the models that
+    fail alone carry the error."""
     out: list = [None] * len(models)
-    batches: dict = {}
+    orders: dict = {}
     for i, model in enumerate(models):
-        try:
-            violations = validate_model(model)
-            if violations:
-                raise ValueError("model fails structural validation: " + "; ".join(violations))
-            batches.setdefault(model.n_modes, []).append(i)
-        except Exception as exc:  # the model's own result, raised by its single-model caller
-            out[i] = exc
+        orders.setdefault(model.n_modes, []).append(i)
 
-    def run(rows):
+    def run(st, gamma_half):
+        try:
+            return decide(st, _spectra(st.A), gamma_half)
+        except np.linalg.LinAlgError as exc:
+            if len(gamma_half) == 1:
+                return [exc]
+            return [run(st.take([j]), gamma_half[j:j + 1])[0] for j in range(len(gamma_half))]
+
+    for n, rows in orders.items():
         batch = [models[i] for i in rows]
         M, N, Etilde = (np.array([getattr(m, name) for m in batch]) for name in ("M", "N", "Etilde"))
-        st = _Stack(*_realization(batch[0].n_modes, M, N, Etilde))
-        try:
-            return decide(st, _spectra(st.A), [m.gamma / 2.0 for m in batch])
-        except np.linalg.LinAlgError as exc:
-            return [exc] if len(rows) == 1 else [run([i])[0] for i in rows]
-
-    for rows in batches.values():
-        for i, result in zip(rows, run(rows)):
-            out[i] = result
+        found = _violations(M, N, Etilde, [(m.gamma, m.delta1, m.delta2) for m in batch])
+        valid = []
+        for j, (i, violations) in enumerate(zip(rows, found)):
+            if violations:
+                out[i] = ValueError("model fails structural validation: " + "; ".join(violations))
+            else:
+                valid.append(j)
+        if len(valid) < len(rows):
+            M, N, Etilde = M[valid], N[valid], Etilde[valid]
+        if valid:
+            st = _Stack(*_realization(n, M, N, Etilde))
+            for j, result in zip(valid, run(st, [batch[j].gamma / 2.0 for j in valid])):
+                out[rows[j]] = result
     return out
 
 

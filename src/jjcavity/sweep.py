@@ -3,12 +3,15 @@ and Bode data emission."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .builder import build_model
+from .builder import build_coupling, build_model
+from .model import SystemModel
 from .params import PhysicalParams
 from .stability import _raised, certify_all, is_certified_all, state_space, transfer_eval, transfer_response
 from .stability import certify  # noqa: F401  (still reachable as sweep.certify; bench/tests checks its tracing)
@@ -34,24 +37,50 @@ class BodeRow:
     error: str | None = None
 
 
-def _sweep(params: PhysicalParams, rows: list[dict], decide) -> list:
-    """`decide` (certify_all or is_certified_all) on the models built from
-    params.replace(**row) for every row at once: one result per row, in
-    order, or the exception that building, validating or deciding its
-    model raised."""
-    built = []
-    for row in rows:
+class _Base(NamedTuple):
+    """The constants of a sweep, and `build_model` on them or the exception
+    that building it raised."""
+
+    params: PhysicalParams
+    model: SystemModel | Exception
+
+
+def _base(params: PhysicalParams) -> _Base:
+    try:
+        return _Base(params, build_model(params))
+    except Exception as exc:  # every row's result, after its own coupling check
+        return _Base(params, exc)
+
+
+def _sweep(base: _Base, couplings, decide) -> list:
+    """`decide` (certify_all or is_certified_all) on the model at every
+    (kappa1, kappa2) pair at once: one result per pair, in order, or the
+    exception that building, validating or deciding its model raised.
+
+    F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: M,
+    Etilde and the sector constants do not depend on them, and
+    N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)).  So
+    only N changes from row to row; M, Etilde, gamma and the deltas come
+    from the one build in `base`, and `decide` validates all rows in one
+    stacked pass.  Each row first checks its pair as
+    `params.replace(kappa1=..., kappa2=...)` would, so a bad pair keeps its
+    own error ahead of any error from the base build."""
+    models = []
+    for k1, k2 in couplings:
         try:
-            built.append(build_model(params.replace(**row)))
+            base.params.replace(kappa1=k1, kappa2=k2)
+            models.append(dataclasses.replace(_raised(base.model), N=build_coupling(k1, k2)))
         except Exception as exc:  # the row's own result
-            built.append(exc)
-    decided = iter(decide([m for m in built if not isinstance(m, Exception)]))
-    return [m if isinstance(m, Exception) else next(decided) for m in built]
+            models.append(exc)
+    decided = iter(decide([m for m in models if not isinstance(m, Exception)]))
+    return [m if isinstance(m, Exception) else next(decided) for m in models]
 
 
-def _certified_at(params: PhysicalParams, kappa2_values) -> list[bool]:
-    """The verdict at each coupling value, from one stacked verdict call."""
-    return [_raised(r) for r in _sweep(params, [{"kappa2": k2} for k2 in kappa2_values], is_certified_all)]
+def _certified_at(base: _Base, kappa2_values) -> list[bool]:
+    """The verdict at each junction coupling value, from one stacked verdict
+    call."""
+    k1 = base.params.kappa1
+    return [_raised(r) for r in _sweep(base, [(k1, k2) for k2 in kappa2_values], is_certified_all)]
 
 
 def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
@@ -59,7 +88,8 @@ def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
     certification; a row that fails carries its error in-row."""
     values = [float(k2) for k2 in kappa2_values]
     records = []
-    for k2, cert in zip(values, _sweep(params, [{"kappa2": k2} for k2 in values], certify_all)):
+    couplings = [(params.kappa1, k2) for k2 in values]
+    for k2, cert in zip(values, _sweep(_base(params), couplings, certify_all)):
         if isinstance(cert, Exception):
             records.append(SweepRecord(kappa2=k2, hinf_norm=float("nan"),
                                        hurwitz=False, certified=False, error=str(cert)))
@@ -80,14 +110,18 @@ def find_threshold(
     Monotonicity of the certified predicate is observed rather than proven,
     so a 20-point log grid from lo to hi (exactly) is audited first, in one
     stacked verdict call; its end verdicts are the bracket checks.  The
-    bisection then runs from [lo, hi], one verdict per step."""
+    bisection then runs from [lo, hi], one verdict per step.  F is affine
+    in the coupling rates, so the model is built once: every verdict, audit
+    and bisection alike, takes its N from its kappa2 and M, Etilde, gamma
+    and the deltas from that one build (see `_sweep`)."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     audit = np.logspace(math.log10(lo), math.log10(hi), THRESHOLD_AUDIT_POINTS)
     audit[0], audit[-1] = lo, hi
-    flags = _certified_at(params, audit)
+    base = _base(params)
+    flags = _certified_at(base, audit)
     if flags[0]:
         raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
     if not flags[-1]:
@@ -103,7 +137,7 @@ def find_threshold(
 
     while hi - lo > rel_tol * lo:
         mid = math.sqrt(lo * hi)
-        if _certified_at(params, [mid])[0]:
+        if _certified_at(base, [mid])[0]:
             hi = mid
         else:
             lo = mid
@@ -149,7 +183,7 @@ def kappa1_sensitivity(
     """H-infinity norm per cavity coupling value, junction coupling fixed,
     from one stacked certification; the first failing row raises."""
     values = [float(k1) for k1 in kappa1_values]
-    certs = _sweep(params, [{"kappa1": k1, "kappa2": kappa2_fixed} for k1 in values], certify_all)
+    certs = _sweep(_base(params), [(k1, kappa2_fixed) for k1 in values], certify_all)
     return [(k1, _raised(cert).hinf_norm) for k1, cert in zip(values, certs)]
 
 

@@ -116,6 +116,16 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_nan_entry_named_exit_one(self, tmp_path, capsys, paper_model):
+        d = json.loads(paper_model.to_json())
+        d["M"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        assert "NaN" in path.read_text()
+        assert main(["certify", "--model", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error: model fails structural validation: "
+                                           "M has a non-finite entry at (0,0)\n")
+
 
 class TestSweep:
     def test_csv_output(self, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import jjcavity as jc
-from jjcavity.model import j_matrix, sigma_matrix, validate_model
+from jjcavity.model import _violations, j_matrix, sigma_matrix, validate_model
 
 
 class TestJSigma:
@@ -70,6 +72,46 @@ class TestValidateModel:
 
     def test_idempotent_and_pure(self, paper_model):
         assert validate_model(paper_model) == validate_model(paper_model)
+
+    @pytest.mark.parametrize("name, entry, value, message", [
+        ("M", (0, 0), np.nan, "M has a non-finite entry at (0,0)"),
+        ("M", (2, 1), np.inf, "M has a non-finite entry at (2,1)"),
+        ("N", (1, 3), complex(0.0, -np.inf), "N has a non-finite entry at (1,3)"),
+        ("Etilde", (0, 1), np.nan, "Etilde has a non-finite entry at (0,1)"),
+    ])
+    def test_nonfinite_entry_reported_first_of_its_matrix(self, paper_model, name, entry, value, message):
+        A = getattr(paper_model, name).copy()
+        A[entry] = value
+        A[-1, -1] = np.nan   # a later non-finite entry is not the one named
+        assert validate_model(dataclasses.replace(paper_model, **{name: A})) == [message]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta1", np.nan, "delta1 must be finite, got nan"),
+        ("delta2", np.inf, "delta2 must be finite, got inf"),
+        ("delta2", -np.inf, "delta2 must be finite, got -inf"),
+        ("gamma", np.inf, "gamma must be finite, got inf"),
+        ("gamma", np.nan, "gamma must be positive, got nan"),
+    ])
+    def test_nonfinite_constants_rejected(self, paper_model, field, value, message):
+        assert validate_model(dataclasses.replace(paper_model, **{field: value})) == [message]
+
+    def test_constants_must_be_numbers(self, paper_model):
+        for field, value in (("gamma", "big"), ("delta1", None), ("delta2", True)):
+            with pytest.raises(ValueError, match=f"{field} must be a number, got {value!r}"):
+                dataclasses.replace(paper_model, **{field: value})
+
+    def test_stack_gives_each_model_its_own_messages(self, paper_model):
+        M = paper_model.M.copy()
+        M[0, 3] += 0.1 * np.max(np.abs(M))
+        Mnan = paper_model.M.copy()
+        Mnan[1, 2] = np.nan
+        models = [paper_model, dataclasses.replace(paper_model, M=M, delta1=-1.0),
+                  dataclasses.replace(paper_model, M=Mnan), dataclasses.replace(paper_model, gamma=0.0)]
+        stacked = _violations(*(np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde")),
+                              [(m.gamma, m.delta1, m.delta2) for m in models])
+        assert stacked == [validate_model(m) for m in models]
+        assert stacked[0] == [] and all(stacked[1:])
+        assert stacked[2] == ["M has a non-finite entry at (1,2)"]
 
 
 class TestPhysicalParams:

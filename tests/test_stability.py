@@ -509,3 +509,34 @@ class TestBatch:
         assert got[:1] + got[2:] == want[:1] + want[2:]
         with pytest.raises(np.linalg.LinAlgError, match="forced"):
             certify(models[1])
+
+
+class TestNonFiniteModel:
+    """A model with a NaN entry fails validation by name, alone or in a
+    batch, and never reaches LAPACK."""
+
+    def test_certify_all_mixed_batch(self, paper_model, monkeypatch):
+        M = paper_model.M.copy()
+        M[0, 3] += 0.1 * np.max(np.abs(M))
+        asymmetric = dataclasses.replace(paper_model, M=M)
+        M = paper_model.M.copy()
+        M[0, 0] = np.nan
+        nan_model = dataclasses.replace(paper_model, M=M)
+        draw = build_model(random_params(np.random.default_rng(11)))
+        models = [paper_model, asymmetric, nan_model, draw]
+        alone = [outcome(certify, m) for m in models]
+
+        eigvals, shapes = np.linalg.eigvals, []
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        assert got == alone
+        assert [s for s in shapes if s[-1] == 4] == [(2, 4, 4)]
+        assert "M2 transpose-symmetry" in alone[1]
+        assert alone[2] == ("ValueError: model fails structural validation: "
+                            "M has a non-finite entry at (0,0)")
+        assert outcome(is_certified, nan_model) == alone[2]

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from jjcavity import stability, sweep
+from jjcavity import builder, stability, sweep
 from jjcavity.builder import build_model
 from jjcavity.stability import build_F, certify
 from jjcavity.sweep import (
+    SweepRecord,
     bode_csv,
     find_threshold,
     format_csv,
@@ -253,6 +254,43 @@ class TestStackedSweep:
         with pytest.raises(ValueError, match="coupling rates"):
             kappa1_sensitivity(paper_params, [1e11, -1.0, -2.0], kappa2_fixed=2.5e12)
 
+    def test_bad_pair_error_comes_before_base_build_error(self, paper_params):
+        # omega = 1e200 overflows the quadratic form: the base build fails,
+        # and a row whose coupling is bad keeps its own error
+        recs = sweep_kappa2(paper_params.replace(omega=1e200), [1e11, -1.0])
+        want = [
+            SweepRecord(kappa2=1e11, hinf_norm=math.nan, hurwitz=False, certified=False,
+                        error="quadratic form entry (0,0) is not finite: inf"),
+            SweepRecord(kappa2=-1.0, hinf_norm=math.nan, hurwitz=False, certified=False,
+                        error="coupling rates must be nonnegative"),
+        ]
+        assert repr(recs) == repr(want)
+        with pytest.raises(ValueError, match="coupling rates"):
+            kappa1_sensitivity(paper_params.replace(omega=1e200), [-1.0, 1e11], kappa2_fixed=2.5e12)
+        with pytest.raises(OverflowError, match="quadratic form"):
+            kappa1_sensitivity(paper_params.replace(omega=1e200), [1e11, -1.0], kappa2_fixed=2.5e12)
+
+
+class TestReferencePath:
+    """Rows built from one base model equal, field for field, rows built
+    and certified one at a time by the full builder."""
+
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["paper", "draw0", "draw1", "draw2"])
+    def test_rows_equal_per_row_certify(self, paper_params, draw):
+        p = paper_params if draw is None else random_params(np.random.default_rng([29, draw]))
+        kappa2 = [float(k) for k in np.logspace(11, 13, 12)]
+        want = []
+        for k2 in kappa2:
+            cert = certify(build_model(p.replace(kappa2=k2)))
+            want.append(SweepRecord(kappa2=k2, hinf_norm=cert.hinf_norm,
+                                    hurwitz=cert.hurwitz, certified=cert.certified))
+        assert repr(sweep_kappa2(p, kappa2)) == repr(want)
+
+        kappa1 = [float(k) for k in np.logspace(10, 12, 5)]
+        want = [(k1, certify(build_model(p.replace(kappa1=k1, kappa2=2.5e12))).hinf_norm)
+                for k1 in kappa1]
+        assert repr(kappa1_sensitivity(p, kappa1, kappa2_fixed=2.5e12)) == repr(want)
+
 
 class TestEigvalsCount:
     """Eigen-decompositions are stacked: the count does not grow with the
@@ -285,3 +323,29 @@ class TestEigvalsCount:
         assert shapes[:2] == [(n, 4, 4), (n, 8, 8)]
         # then the bisection, one model per verdict
         assert shapes[2:] == [(1, 4, 4), (1, 8, 8)] * ((len(shapes) - 2) // 2)
+
+
+class TestBuildCount:
+    """The model is built once per sweep, sensitivity scan or threshold
+    search: only N depends on the coupling rates, so the count does not
+    grow with the number of rows."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        form, calls = builder.quadratic_form_matrix, []
+
+        def counted(params):
+            calls.append(params)
+            return form(params)
+
+        monkeypatch.setattr(builder, "quadratic_form_matrix", counted)
+        return calls
+
+    def test_one_build_per_call(self, paper_params, monkeypatch):
+        calls = self.counting(monkeypatch)
+        sweep_kappa2(paper_params, np.logspace(11, 13, 40))
+        assert len(calls) == 1
+        kappa1_sensitivity(paper_params, np.logspace(10, 12, 9), kappa2_fixed=2.5e12)
+        assert len(calls) == 2
+        find_threshold(paper_params, 1e11, 1e13)
+        assert len(calls) == 3
