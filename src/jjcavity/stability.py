@@ -17,6 +17,10 @@ import numpy as np
 from .model import SystemModel, _encode_complex, _violations, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
+#: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
+#: eigenvalue pair is nearly double, and the float eigen test resolves its
+#: crossings only to about sqrt(eps) times the matrix scale
+HINF_MIN_REL_TOL = 1e-7
 #: level-set iterations before `hinf_norm` gives up; the iteration converges
 #: quadratically and needs at most a handful
 HINF_MAX_ITER = 30
@@ -276,9 +280,23 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     ones; a step that cannot raise it, or HINF_MAX_ITER steps, raise
     RuntimeError.  Requires `ss.hurwitz`, otherwise the axis supremum is not
     the norm; the seeds come from the spectrum `ss` holds.  This is the
-    stack of one of `_hinf_norms`, which `certify_all` runs on many."""
+    stack of one of `_hinf_norms`, which `certify_all` runs on many.
+
+    rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
+    the level-set eigenvalue pair is nearly double, so the float eigen test
+    resolves a crossing only to about sqrt(eps) times the matrix scale,
+    the order of its own detection tolerance.  Below the floor the iteration
+    stalls on physical models: on 300 `random_params` draws times 25 kappa2
+    values in [1e10, 1e14] it fails on 4 at 1e-8, 29 at 1e-9 and 152 at
+    1e-10, and on none at 1e-7."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if rel_tol < HINF_MIN_REL_TOL:
+        raise ValueError(
+            f"rel_tol {rel_tol:.3g} is below the resolution floor {HINF_MIN_REL_TOL:g} of the "
+            "float level-set test: near the peak its eigenvalue pair is nearly double and "
+            "resolves a crossing only to about sqrt(eps) times the matrix scale"
+        )
     if not ss.hurwitz:
         raise ValueError("norm undefined: A is not Hurwitz")
     st = _Stack(ss.A[None], ss.B[None], ss.C[None])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jjcavity.simulate import (
+    FIT_FLOOR_REL,
     STEP_BLOCK,
     DecayEstimate,
     Trajectory,
@@ -36,6 +37,18 @@ def assert_matches_rk4_loop(F, v0, t_end, dt):
     # steps, so 1e-10 leaves two orders of headroom over 2.2e-16 * 1e4
     err = np.linalg.norm(traj.v - ref, axis=1)
     assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
+
+
+def polyfit_reference(traj):
+    """The decay fit by np.polyfit on the window estimate_decay keeps."""
+    ns = np.sum(np.abs(traj.v) ** 2, axis=1)
+    keep = ns > FIT_FLOOR_REL * ns[0]
+    if not keep.all():
+        keep[int(np.argmin(keep)):] = False
+    t, y = traj.t[keep], np.log(ns[keep])
+    (slope, intercept), res, *_ = np.polyfit(t, y, 1, full=True)
+    return DecayEstimate(c1=float(np.exp(intercept) / ns[0]), c2=float(-slope),
+                         fit_residual=float(res[0]), t_window=(float(t[0]), float(t[-1])))
 
 
 def expm_series(A, order=40):
@@ -107,10 +120,12 @@ class TestIntegrateMean:
         for v0 in (slow_mode_vector(F), rng.standard_normal(4) + 1j * rng.standard_normal(4)):
             assert_matches_rk4_loop(F, v0, t_end, dt)
 
-    @pytest.mark.parametrize("n_steps", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 6541])
+    @pytest.mark.parametrize("n_steps", sorted({1, 63, 64, 65, STEP_BLOCK - 1, STEP_BLOCK,
+                                                STEP_BLOCK + 1, 6541}))
     def test_blocks_match_stage_loop(self, paper_model, n_steps):
-        # partial, exact and one-over blocks, and the paper point's default
-        # run of 6541 steps, from a state that excites every mode
+        # runs shorter than one block, partial, exact and one-over blocks, and
+        # the paper point's default run of 6541 steps, from a state that
+        # excites every mode
         F = build_F(paper_model)
         dt, _ = default_timescales(F)
         rng = np.random.default_rng(n_steps)
@@ -168,6 +183,11 @@ class TestEstimateDecay:
         assert est.t_window[1] < 10.0
         assert est.c2 == pytest.approx(8.0, rel=1e-6)
 
+    def test_constant_time_rejected(self):
+        traj = Trajectory(t=np.zeros(20), v=np.ones((20, 2), dtype=complex))
+        with pytest.raises(ValueError, match="distinct"):
+            estimate_decay(traj)
+
     def test_json(self):
         import json
 
@@ -175,6 +195,46 @@ class TestEstimateDecay:
         d = json.loads(est.to_json())
         assert d["c2"] == 2.0
         assert d["t_window"] == [0.0, 1.0]
+
+
+class TestClosedFormFit:
+    """The centred closed-form line against np.polyfit on the same window."""
+
+    def assert_matches_polyfit(self, traj):
+        est, ref = estimate_decay(traj), polyfit_reference(traj)
+        assert est.c1 == pytest.approx(ref.c1, rel=1e-12, abs=0)
+        assert est.c2 == pytest.approx(ref.c2, rel=1e-12, abs=0)
+        assert est.fit_residual == pytest.approx(ref.fit_residual, rel=1e-9, abs=1e-20)
+        assert est.t_window == ref.t_window
+
+    def test_paper_slow_mode(self, paper_model):
+        F = build_F(paper_model)
+        dt, t_end = default_timescales(F)
+        self.assert_matches_polyfit(integrate_mean(F, slow_mode_vector(F), t_end, dt))
+
+    def test_floor_truncated(self):
+        traj = integrate_mean(np.array([[-4.0]]), [1.0], t_end=10.0, dt=0.01)
+        assert traj.t[-1] == 10.0 and estimate_decay(traj).t_window[1] < 10.0
+        self.assert_matches_polyfit(traj)
+
+    def test_noisy_line(self):
+        # log norm^2 = 0.3 - 3 t + noise, so the residual is far from rounding
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.0, 2.0, 500)
+        y = 0.3 - 3.0 * t + 0.05 * rng.standard_normal(t.size)
+        v = np.exp(y / 2)[:, None] * np.exp(1j * rng.uniform(0, 2 * np.pi, (t.size, 1)))
+        traj = Trajectory(t=t, v=v)
+        assert polyfit_reference(traj).fit_residual > 1.0
+        self.assert_matches_polyfit(traj)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_norm_sq(self, dtype):
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal((200, 4)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((200, 4))
+        ns = Trajectory(t=np.arange(200.0), v=v).norm_sq
+        np.testing.assert_allclose(ns, np.sum(np.abs(v) ** 2, axis=1), rtol=1e-15, atol=0)
 
 
 class TestPaperDynamics:

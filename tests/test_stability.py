@@ -252,6 +252,42 @@ class TestHinfNorm:
             assert abs(transfer_eval(ss, 1j * w)) <= norm * (1.0 + 1e-6)
 
 
+@pytest.fixture(scope="module")
+def stall_sample():
+    """300 `random_params` draws (seed 5) times 25 kappa2 values in
+    [1e10, 1e14]: 7500 physical models, every one Hurwitz, as one stack of
+    realizations with its spectra.  Below the rel_tol floor `hinf_norm` stalls
+    on some of them (4 at 1e-8)."""
+    rng = np.random.default_rng(5)
+    M, N, Et = [], [], []
+    for p in [random_params(rng) for _ in range(300)]:
+        model = build_model(p)
+        for k2 in np.logspace(10, 14, 25):
+            M.append(model.M)
+            N.append(build_coupling(p.kappa1, float(k2)))
+            Et.append(model.Etilde)
+    st = stability._Stack(*stability._realization(2, np.array(M), np.array(N), np.array(Et)))
+    ev, abscissa, _, hurwitz = stability._spectra(st.A)
+    assert hurwitz.all()
+    return st, ev, abscissa
+
+
+class TestRelTolFloor:
+    def test_below_floor_rejected(self, paper_model):
+        with pytest.raises(ValueError, match=r"rel_tol 1e-08 is below the resolution floor 1e-07"):
+            hinf_norm(state_space(paper_model), rel_tol=1e-8)
+
+    def test_floor_accepted(self, paper_model):
+        norm, _ = hinf_norm(state_space(paper_model), rel_tol=stability.HINF_MIN_REL_TOL)
+        assert norm == pytest.approx(PAPER_NORM, rel=2e-7)
+
+    @pytest.mark.parametrize("rel_tol", [stability.HINF_DEFAULT_REL_TOL, stability.HINF_MIN_REL_TOL])
+    def test_no_stall_on_physical_sample(self, stall_sample, rel_tol):
+        st, ev, abscissa = stall_sample
+        failed = [r for r in stability._hinf_norms(st, ev, abscissa, rel_tol) if isinstance(r, Exception)]
+        assert failed == []
+
+
 class TestCertify:
     def test_paper_certified(self, paper_certificate):
         assert paper_certificate.hurwitz

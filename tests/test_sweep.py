@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from jjcavity import builder, stability, sweep
 from jjcavity.builder import build_model
-from jjcavity.stability import build_F, certify
+from jjcavity.stability import build_F, certify, state_space
 from jjcavity.sweep import (
     SweepRecord,
     bode_csv,
@@ -146,6 +147,18 @@ class TestBode:
     def test_phase_range(self, paper_model):
         rows = bode_csv(paper_model, 1e10, 1e13, 50)
         assert all(-np.pi <= r.phase <= np.pi for r in rows)
+
+    def test_rows_equal_scalar_path(self, paper_model):
+        # each row of the stacked solve, bit for bit (repr of every field),
+        # is the row that its own transfer_eval solve gives
+        rng = np.random.default_rng(12)
+        for model in [paper_model] + [build_model(random_params(rng)) for _ in range(3)]:
+            rows = bode_csv(model, 1e9, 1e14, 120)
+            ss = state_space(model)
+            alone = [sweep._bode_row_alone(ss, r.omega) for r in rows]
+            assert all(r.error is None for r in rows)
+            assert [repr(dataclasses.astuple(r)) for r in rows] == \
+                [repr(dataclasses.astuple(r)) for r in alone]
 
     def test_singular_frequency_is_an_error_row(self):
         from jjcavity.builder import build_zeta
