@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log-spaced kappa2 grid")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold", help="bisect for the certification threshold in kappa2")
+    p = sub.add_parser("threshold", help="find the certification threshold in kappa2 by Newton on "
+                                         "the norm, with a verified bracket")
     _add_common(p); _add_param_flags(p)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)

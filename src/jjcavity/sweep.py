@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,10 +14,27 @@ import numpy as np
 from .builder import build_coupling, build_model
 from .model import SystemModel
 from .params import PhysicalParams
-from .stability import _raised, certify_all, is_certified_all, state_space, transfer_eval, transfer_response
+from .stability import (
+    HINF_DEFAULT_REL_TOL,
+    _raised,
+    _realization,
+    certify_all,
+    is_certified_all,
+    state_space,
+    transfer_eval,
+    transfer_response,
+)
 from .stability import certify  # noqa: F401  (still reachable as sweep.certify; bench/tests checks its tracing)
 
 THRESHOLD_AUDIT_POINTS = 20
+#: norms after which `find_threshold` gives up, a safety net: on 300
+#: `random_params` draws it takes at most 4, and bisection alone takes 29
+#: from the widest flip interval of positive floats (log width about 75)
+#: down to the tightest step, rel_tol/4 = 2.5e-7
+THRESHOLD_MAX_NORMS = 100
+#: dF/dkappa2 as a column: the damping term of F is
+#: -(1/2) J N^dag J N = -diag(kappa1, kappa2, kappa1, kappa2)/2
+DF_DKAPPA2 = np.array([[0.0], [-0.5], [0.0], [-0.5]])
 CSV_FLOAT_FMT = "{:.17g}"
 
 
@@ -99,25 +117,86 @@ def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
     return records
 
 
+def _debug_logger():
+    """`logging.getLogger(__name__)` when it records DEBUG, else None.
+    `logging` is not imported here: until a caller imports it no handler
+    can exist, and importing it would cost every run about 0.4 MB of
+    resident memory and 5 ms of start-up."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        log = logging.getLogger(__name__)
+        if log.isEnabledFor(logging.DEBUG):
+            return log
+    return None
+
+
+def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
+    """(||G||_inf, d||G||_inf / dkappa2) of the model at one junction
+    coupling value.
+
+    The norm is `certify_all`'s on that row of the one base build (see
+    `_sweep`), so the row is validated as every other row is.  Its slope
+    comes from the envelope theorem at the peak frequency w*:
+    d||G||_inf/dkappa2 = Re(conj(G) C R E R B) / |G| with
+    R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
+    stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
+    calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
+    is Hurwitz at every kappa2 > 0 once it is at the flip interval's
+    certified end."""
+    k1 = base.params.kappa1
+    cert = _raised(_sweep(base, [(k1, kappa2)], certify_all)[0])
+    model = base.model
+    F, B, C = _realization(model.n_modes, model.M, build_coupling(k1, kappa2), model.Etilde)
+    lhs = 1j * cert.hinf_freq * np.eye(len(F)) - F
+    rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
+    g = (C @ rb).item()
+    dg = (rc.conj().T @ (DF_DKAPPA2 * rb)).item()
+    return cert.hinf_norm, (g.conjugate() * dg).real / abs(g)
+
+
 def find_threshold(
     params: PhysicalParams, lo: float, hi: float, rel_tol: float = 1e-3
 ) -> float:
-    """Bisection for the coupling rate where the certificate flips.
+    """The coupling rate kappa2* where the certificate flips, by safeguarded
+    Newton on the norm inside the audit's flip interval.
 
-    Requires certified(lo) = False and certified(hi) = True.  Each verdict
-    is `is_certified`: the Hurwitz test of F and one imaginary-axis eigen
-    test of the level-set matrix at gamma/2, with no norm computed.
-    Monotonicity of the certified predicate is observed rather than proven,
-    so a 20-point log grid from lo to hi (exactly) is audited first, in one
-    stacked verdict call; its end verdicts are the bracket checks.  The
-    bisection then runs from [lo, hi], one verdict per step.  F is affine
-    in the coupling rates, so the model is built once: every verdict, audit
-    and bisection alike, takes its N from its kappa2 and M, Etilde, gamma
-    and the deltas from that one build (see `_sweep`)."""
+    Requires certified(lo) = False and certified(hi) = True.  Monotonicity
+    of the certified predicate is observed rather than proven, so a 20-point
+    log grid from lo to hi (exactly) is audited first, in one stacked
+    verdict call (`is_certified_all`); its end verdicts are the bracket
+    checks, and a certified point followed by an uncertified one raises
+    RuntimeError.  The two audit points where the verdict flips bound the
+    search.  From their geometric midpoint, Newton runs on
+    f(x) = log ||G||_inf - log(gamma/2) in x = log kappa2, with the norm and
+    its exact kappa2-derivative from `_norm_at`.  The sign of f shrinks the
+    bracket, and a step that would leave the bracket, or does not halve the
+    step before it, is a bisection step instead (||G||_inf is a max over
+    frequencies, so it is only piecewise smooth in kappa2).  Once a step is
+    below rel_tol/4, no more norms are computed: one stacked verdict call
+    at kappa2*(1 -+ rel_tol/2) must give [False, True], and kappa2* is
+    returned.  A failed pair shrinks the bracket to what the verdicts alone
+    have shown, and the search goes on from its midpoint.
+    F is affine in the coupling rates, so the model is built once: every
+    verdict and norm takes its N from its kappa2 and M, Etilde, gamma and
+    the deltas from that one build (see `_sweep`).
+
+    rel_tol must lie in [HINF_DEFAULT_REL_TOL, 2) = [1e-6, 2): kappa2* comes
+    from the norm's upper bound, which lies up to about 2e-7 above the peak
+    and so biases kappa2* by about as much, and the lower verification
+    point kappa2*(1 - rel_tol/2) must stay positive."""
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if rel_tol < HINF_DEFAULT_REL_TOL:
+        raise ValueError(
+            f"rel_tol {rel_tol:.3g} is below the floor {HINF_DEFAULT_REL_TOL:g}: kappa2* comes from "
+            "the norm's upper bound, which biases it by about 2e-7, so a tighter bracket cannot be verified"
+        )
+    if rel_tol >= 2.0:
+        raise ValueError(
+            f"rel_tol must be below 2, so that kappa2*(1 - rel_tol/2) stays positive, got {rel_tol}"
+        )
     audit = np.logspace(math.log10(lo), math.log10(hi), THRESHOLD_AUDIT_POINTS)
     audit[0], audit[-1] = lo, hi
     base = _base(params)
@@ -135,13 +214,56 @@ def find_threshold(
                 f"certified at kappa2={k_prev:.6e} but not at {k_next:.6e}"
             )
 
-    while hi - lo > rel_tol * lo:
-        mid = math.sqrt(lo * hi)
-        if _certified_at(base, [mid])[0]:
-            hi = mid
+    j = flags.index(True)
+    flip = (float(audit[j - 1]), float(audit[j]))
+    log_gamma_half = math.log(base.model.gamma / 2.0)
+    # [a, b]: the bracket the norm's sign shrinks; [va, vb]: what verdicts
+    # alone have shown, where a failed pair restarts the search
+    va, vb = a, b = math.log(flip[0]), math.log(flip[1])
+    x, last = (a + b) / 2.0, b - a
+    bisections = 0
+    for norms in range(1, THRESHOLD_MAX_NORMS + 1):
+        kappa = math.exp(x)
+        norm, slope = _norm_at(base, kappa)
+        f = math.log(norm) - log_gamma_half
+        if f < 0.0:  # certified: kappa2* lies below
+            b = x
         else:
-            lo = mid
-    return math.sqrt(lo * hi)
+            a = x
+        # d log||G|| / d log kappa2 = kappa slope / norm
+        step = -f * norm / (kappa * slope) if slope else math.nan
+        if not (a < x + step < b and abs(step) <= last / 2.0):
+            step = (a + b) / 2.0 - x
+            bisections += 1
+        x, last = x + step, abs(step)
+        if last >= rel_tol / 4.0:
+            continue
+        kappa = math.exp(x)
+        pair = [kappa * (1.0 - rel_tol / 2.0), kappa * (1.0 + rel_tol / 2.0)]
+        below, above = _certified_at(base, pair)
+        if not below and above:
+            log = _debug_logger()
+            if log is not None:
+                log.debug("find_threshold: flip interval [%.6e, %.6e], %d norms, "
+                          "%d bisection steps, verified [%.6e, %.6e]",
+                          *flip, norms, bisections, *pair)
+            return kappa
+        if below:
+            vb = min(vb, math.log(pair[0]))
+        if not above:
+            va = max(va, math.log(pair[1]))
+        if not va < vb:
+            raise RuntimeError(
+                "certified predicate is not monotone on the bracket: "
+                f"certified at kappa2={math.exp(vb):.6e} but not at {math.exp(va):.6e}"
+            )
+        a, b = va, vb
+        x, last = (a + b) / 2.0, b - a
+        bisections += 1
+    raise RuntimeError(
+        f"threshold search: no verified kappa2* after {THRESHOLD_MAX_NORMS} norms; "
+        f"bracket [{math.exp(a):.6e}, {math.exp(b):.6e}]"
+    )
 
 
 def _bode_row_alone(ss, omega: float) -> BodeRow:

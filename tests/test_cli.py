@@ -167,11 +167,17 @@ class TestThreshold:
         out = json.loads(capsys.readouterr().out)
         assert out["kappa2_star"] == pytest.approx(2.1692e12, rel=1e-3)
 
+    def test_one_json_line_and_nothing_logged(self, capsys):
+        assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11", "--hi", "1e13"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        assert json.loads(captured.out)["kappa2_star"] == pytest.approx(2.1696638e12, rel=1e-6)
+
     def test_invalid_bracket_exit_two(self, capsys):
         assert main(["threshold", *PARAM_FLAGS, "--lo", "2.5e12",
                      "--hi", "3e12"]) == EXIT_NOT_CERTIFIED
 
-    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "0", "1e-17"])
     def test_bad_rel_tol_exit_one(self, capsys, rel_tol):
         assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11", "--hi", "1e13",
                      "--rel-tol", rel_tol]) == EXIT_ERROR

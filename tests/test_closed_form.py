@@ -21,6 +21,7 @@ import sympy as sp
 import jjcavity as jc
 from jjcavity.builder import build_model
 from jjcavity.stability import certify, hinf_norm, state_space, transfer_response
+from jjcavity import sweep
 from jjcavity.sweep import find_threshold
 
 from conftest import PAPER_NORM
@@ -186,3 +187,16 @@ class TestNormAgainstClosedForm:
         star = closed_form_threshold(p)
         rel_tol = 1e-3
         assert find_threshold(p, star / 2, star * 2, rel_tol) == pytest.approx(star, rel=rel_tol)
+        # the symmetric bracket's flip interval has kappa2* at its geometric
+        # midpoint, where the search starts; this one makes Newton step
+        assert find_threshold(p, star / 3, star * 2, rel_tol) == pytest.approx(star, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [jc.reference_params()] + draws(seed=17),
+                             ids=lambda p: f"k2={p.kappa2:.3e}")
+    def test_norm_slope(self, p):
+        # the envelope-theorem d||G||/dkappa2 against a central difference
+        # of the closed-form peak
+        h = 1e-4
+        _, slope = sweep._norm_at(sweep._base(p), p.kappa2)
+        up, down = (closed_form_peak(p.replace(kappa2=p.kappa2 * (1 + e)))[0] for e in (h, -h))
+        assert slope == pytest.approx((up - down) / (2 * h * p.kappa2), rel=1e-4)

@@ -1,12 +1,16 @@
 import dataclasses
+import logging
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from jjcavity import builder, stability, sweep
 from jjcavity.builder import build_model
-from jjcavity.stability import build_F, certify, state_space
+from jjcavity.stability import build_F, certify, is_certified, state_space
 from jjcavity.sweep import (
     SweepRecord,
     bode_csv,
@@ -17,6 +21,7 @@ from jjcavity.sweep import (
 )
 
 from conftest import random_params
+from test_closed_form import closed_form_threshold
 
 # frozen regression values (rel_tol 1e-3 bisection over [2e12, 2.4e12])
 THRESHOLD_KAPPA2 = 2169220554435.491
@@ -83,6 +88,7 @@ class TestFindThreshold:
             return 2e11 <= k2 < 4e11 or k2 >= 1e12
 
         monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
+        monkeypatch.setattr(sweep, "_norm_at", lambda base, k2: pytest.fail("norm after a failed audit"))
         audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
         k = int(np.searchsorted(audit, 4e11))
         with pytest.raises(RuntimeError, match="not monotone") as exc:
@@ -99,25 +105,19 @@ class TestFindThreshold:
             return k2 >= 2.1692e12
 
         monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
+        # the norm seam: gamma/2 at 2.1692e12, falling as 1/kappa2
+        gamma_half = build_model(paper_params).gamma / 2.0
+        monkeypatch.setattr(sweep, "_norm_at",
+                            lambda base, k2: (gamma_half * 2.1692e12 / k2, -gamma_half * 2.1692e12 / k2 ** 2))
         find_threshold(paper_params, lo, hi)
         assert len(set(seen)) == len(seen)
         assert seen[0] == lo and seen[sweep.THRESHOLD_AUDIT_POINTS - 1] == hi
 
-    def test_equals_bisection_on_certify(self, paper_params):
-        # the level-set verdicts bisect to the same point as certify's
-        # norm-based verdicts, bit for bit, on the paper point and two draws
+    def test_equals_closed_form(self, paper_params):
+        # kappa2* from the closed-form peak, on the paper point and two draws
+        # bracketed on [1e11, 1e13]
         def certified(p, k2):
             return certify(build_model(p.replace(kappa2=k2))).certified
-
-        def reference(p, lo, hi, rel_tol=1e-3):
-            assert not certified(p, lo) and certified(p, hi)
-            while hi - lo > rel_tol * lo:
-                mid = math.sqrt(lo * hi)
-                if certified(p, mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return math.sqrt(lo * hi)
 
         rng = np.random.default_rng(43)
         cases = [paper_params]
@@ -126,7 +126,151 @@ class TestFindThreshold:
             if not certified(p, 1e11) and certified(p, 1e13):
                 cases.append(p)
         for p in cases:
-            assert find_threshold(p, 1e11, 1e13) == reference(p, 1e11, 1e13)
+            assert find_threshold(p, 1e11, 1e13) == pytest.approx(closed_form_threshold(p), rel=1e-6)
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
+    def test_verified_pair_on_draws(self, rel_tol):
+        # the verdict flips across kappa2*(1 -+ rel_tol/2)
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            p = random_params(rng)
+            star = find_threshold(p, 1e10, 1e14, rel_tol)
+            assert not is_certified(build_model(p.replace(kappa2=star * (1 - rel_tol / 2))))
+            assert is_certified(build_model(p.replace(kappa2=star * (1 + rel_tol / 2))))
+
+    def test_rel_tol_floor(self, paper_params, monkeypatch):
+        # below the norm's bias a bracket cannot be verified, so the search
+        # is refused before any verdict
+        monkeypatch.setattr(sweep, "_certified_at", lambda base, ks: pytest.fail("audit ran"))
+        for rel_tol in (1e-17, 9.9e-7):
+            with pytest.raises(ValueError, match="below the floor 1e-06"):
+                find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
+        for rel_tol in (2.0, 10.0):
+            with pytest.raises(ValueError, match="rel_tol must be below 2"):
+                find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
+
+    def test_at_most_four_norms_on_draws(self, monkeypatch):
+        # 300 random_params draws bracketed on [1e10, 1e14]: no search fails,
+        # none takes more than 4 norms after the audit, and the first
+        # verification pair holds
+        norm_at, certified_at, norms, pairs = sweep._norm_at, sweep._certified_at, [], []
+
+        def counted_norm(base, k2):
+            norms[-1] += 1
+            return norm_at(base, k2)
+
+        def counted_pairs(base, ks):
+            pairs[-1] += len(ks) == 2
+            return certified_at(base, ks)
+
+        monkeypatch.setattr(sweep, "_norm_at", counted_norm)
+        monkeypatch.setattr(sweep, "_certified_at", counted_pairs)
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            norms.append(0)
+            pairs.append(0)
+            find_threshold(random_params(rng), 1e10, 1e14)
+        assert max(norms) <= 4 and pairs == [1] * 300
+
+
+class TestThresholdSafeguard:
+    """The search on synthetic norms: the step falls back to bisection, and
+    the answer still carries a verified pair inside the flip interval."""
+
+    LO, HI, STAR = 1e11, 1e13, 2.1692e12
+
+    def run(self, paper_params, monkeypatch, caplog, log_excess, slope_of, verdict_shift=0.0):
+        """find_threshold where log(norm/(gamma/2)) = log_excess(log kappa2),
+        the seam reports slope_of(kappa2, norm, true slope) and the verdict
+        is the norm's, taken verdict_shift further along log kappa2; returns
+        kappa2*, the flip interval, the last verdict call and its verdicts,
+        the number of verification pairs, and the norm and bisection step
+        counts from the DEBUG record."""
+        gamma_half = build_model(paper_params).gamma / 2.0
+        calls = []
+
+        def norm(k2):
+            return gamma_half * math.exp(log_excess(math.log(k2)))
+
+        def norm_at(base, k2):
+            h = 1e-7 * k2
+            return norm(k2), slope_of(k2, norm(k2), (norm(k2 + h) - norm(k2 - h)) / (2 * h))
+
+        def certified_at(base, ks):
+            calls.append(([float(k) for k in ks],
+                          [norm(k * math.exp(verdict_shift)) < gamma_half for k in ks]))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sweep, "_norm_at", norm_at)
+        monkeypatch.setattr(sweep, "_certified_at", certified_at)
+        with caplog.at_level(logging.DEBUG, logger="jjcavity.sweep"):
+            star = find_threshold(paper_params, self.LO, self.HI)
+        audit, flags = calls[0]
+        j = flags.index(True)
+        norms, bisections = map(int, re.search(r"(\d+) norms, (\d+) bisection",
+                                               caplog.records[-1].getMessage()).groups())
+        return star, (audit[j - 1], audit[j]), calls[-1], len(calls) - 1, norms, bisections
+
+    def check(self, star, flip, last, rel_tol=1e-3):
+        assert flip[0] < star < flip[1]
+        assert last == ([star * (1 - rel_tol / 2), star * (1 + rel_tol / 2)], [False, True])
+
+    def test_kink(self, paper_params, monkeypatch, caplog):
+        # slope -0.05 up to 0.02 below kappa2*, then -2: the search starts on
+        # the flat side (the flip interval's midpoint is 0.047 below), where
+        # Newton aims far above the flip interval
+        x_star = math.log(self.STAR)
+        x_kink = x_star - 0.02
+
+        def log_excess(x):
+            if x >= x_kink:
+                return -2.0 * (x - x_star)
+            return -2.0 * (x_kink - x_star) - 0.05 * (x - x_kink)
+
+        star, flip, last, _, _, bisections = self.run(paper_params, monkeypatch, caplog, log_excess,
+                                                      lambda k2, n, d: d)
+        self.check(star, flip, last)
+        assert math.log(flip[0]) < x_kink - 0.02 and math.sqrt(flip[0] * flip[1]) < math.exp(x_kink)
+        assert bisections >= 1
+        assert star == pytest.approx(self.STAR, rel=1e-3)
+
+    @pytest.mark.parametrize("slope_of", [lambda k2, n, d: -d, lambda k2, n, d: 0.0],
+                             ids=["outward", "flat"])
+    def test_slope_out_of_bracket(self, paper_params, monkeypatch, caplog, slope_of):
+        # a slope of the wrong sign (or none) sends every Newton step out of
+        # the bracket, so the search is bisection alone
+        x_star = math.log(self.STAR)
+        star, flip, last, _, _, bisections = self.run(paper_params, monkeypatch, caplog,
+                                                      lambda x: -1.5 * (x - x_star), slope_of)
+        self.check(star, flip, last)
+        assert bisections >= 8
+        assert star == pytest.approx(self.STAR, rel=1e-3)
+
+    def test_failed_pair_shrinks_bracket(self, paper_params, monkeypatch, caplog):
+        # the verdict flips 1.5e-3 below the norm's root, three half-widths
+        # of the pair: the first pairs fail, and each moves the bracket
+        x_star = math.log(self.STAR)
+        star, flip, last, pairs, _, _ = self.run(paper_params, monkeypatch, caplog,
+                                                 lambda x: -1.5 * (x - x_star), lambda k2, n, d: d,
+                                                 verdict_shift=1.5e-3)
+        self.check(star, flip, last)
+        assert pairs >= 2
+        assert star == pytest.approx(self.STAR * math.exp(-1.5e-3), rel=1e-3)
+
+    def test_logging_left_unimported(self):
+        # the record costs nothing until a caller imports logging
+        code = ("import sys, jjcavity; "
+                "jjcavity.find_threshold(jjcavity.reference_params(), 1e11, 1e13); "
+                "assert 'logging' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_debug_record(self, paper_params, caplog):
+        with caplog.at_level(logging.DEBUG, logger="jjcavity.sweep"):
+            find_threshold(paper_params, 1e11, 1e13)
+        (record,) = caplog.records
+        msg = record.getMessage()
+        assert msg.startswith("find_threshold: flip interval [")
+        assert " norms, 0 bisection steps, verified [" in msg
 
 
 class TestBode:
@@ -334,8 +478,9 @@ class TestEigvalsCount:
         # every audit model is Hurwitz here, so all 20 take the level-set test
         n = sweep.THRESHOLD_AUDIT_POINTS
         assert shapes[:2] == [(n, 4, 4), (n, 8, 8)]
-        # then the bisection, one model per verdict
-        assert shapes[2:] == [(1, 4, 4), (1, 8, 8)] * ((len(shapes) - 2) // 2)
+        # then the norms, one model each, and last the verification pair
+        assert shapes[2] == (1, 4, 4) and all(s[0] == 1 for s in shapes[2:-2])
+        assert shapes[-2:] == [(2, 4, 4), (2, 8, 8)]
 
 
 class TestBuildCount:
