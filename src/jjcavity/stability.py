@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +24,9 @@ HINF_MIN_REL_TOL = 1e-7
 #: level-set iterations before `hinf_norm` gives up; the iteration converges
 #: quadratically and needs at most a handful
 HINF_MAX_ITER = 30
+#: Newton steps per polish of a candidate peak (see `_polish`): a sharp
+#: peak needs two or three, a broad skewed one (large kappa2) up to six
+HINF_POLISH_STEPS = 6
 #: imaginary-axis detection threshold, relative to the max-abs entry of the
 #: level-set matrix (scale-free across the model's huge dynamic range)
 IMAG_AXIS_REL_TOL = 1e-8
@@ -96,7 +99,11 @@ class StabilityCertificate:
     hinf_tol: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), default=_encode_complex)
+        # the JSON of json.dumps(asdict(self), default=_encode_complex),
+        # from a shallow dict: asdict deep-copies the eigenvalue tuple
+        d = dict(vars(self))
+        d["eigenvalues_F"] = [[z.real, z.imag] for z in self.eigenvalues_F]
+        return json.dumps(d, default=_encode_complex)
 
 
 def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray):
@@ -162,23 +169,24 @@ def _unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _peak_gains(st: _Stack, rows: list, omegas: list) -> list[tuple[float, float]]:
-    """(largest |G(i w)|, its w) of each system st[rows[j]] over its own
-    frequency array omegas[j], from one stacked solve over all of them."""
-    sizes = [w.size for w in omegas]
-    if len(st.A) == 1:  # a stack of one broadcasts over the points
-        w = omegas[0]
-    else:
-        w = np.concatenate(omegas)
-        idx = np.repeat(rows, sizes)
+def _seed_peaks(st: _Stack, eigenvalues: np.ndarray) -> tuple[list, list]:
+    """(largest |G(i w)|, its w) of each system of `st` over its seeds:
+    w = 0, Im lambda(A), +-|lambda(A)|, n multiples of max |lambda(A)|
+    beyond it, and the midpoint of each consecutive pair of those, from one
+    stacked solve over all of them."""
+    k, n = eigenvalues.shape
+    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
+    # in w and the seeds run over the whole signed axis
+    radii = np.abs(eigenvalues)
+    extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
+    w = np.sort(np.concatenate([np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1))
+    w = np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
+    if k > 1:  # a stack of one broadcasts over the points
+        idx = np.repeat(np.arange(k), w.shape[1])
         st = _Stack(st.A[idx], st.B[idx], st.C[idx])
-    gains = np.abs(transfer_response(st, 1j * w))
-    peaks, start = [], 0
-    for size in sizes:
-        k = start + int(gains[start:start + size].argmax())
-        peaks.append((float(gains[k]), float(w[k])))
-        start += size
-    return peaks
+    gains = np.abs(transfer_response(st, 1j * w.ravel())).reshape(w.shape)
+    rows, best = np.arange(k), gains.argmax(axis=1)
+    return gains[rows, best].tolist(), w[rows, best].tolist()
 
 
 def _imag_axis_crossings(st: _Stack, levels) -> list[np.ndarray]:
@@ -196,55 +204,146 @@ def _imag_axis_crossings(st: _Stack, levels) -> list[np.ndarray]:
     H[:, n:, n:] = -A.conj().transpose(0, 2, 1)
     ev = np.linalg.eigvals(H)
     tol = IMAG_AXIS_REL_TOL * np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
-    return [_unique(e.imag[np.abs(e.real) <= t]) for e, t in zip(ev, tol)]
+    on_axis = np.abs(ev.real) <= tol[:, None]
+    none = np.empty(0)
+    return [_unique(e.imag[m]) if hit else none
+            for e, m, hit in zip(ev, on_axis, on_axis.any(axis=1).tolist())]
+
+
+def _polish(st: _Stack, rhs: np.ndarray, rows: list, omegas: list, floor: list,
+            rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each system st[rows[j]]: the largest gain at its candidate
+    frequencies omegas[j], moved onto the local maximum of
+    phi(w) = |G(i w)|^2 by Newton steps.  Returns arrays (gain, w, raised);
+    raised[j] says whether that largest candidate gain exceeded floor[j],
+    and a system where it did not takes no step.  `rhs` stacks
+    [B, B, C^T] of every system of `st`.
+
+    With R = (i w I - A)^-1: G = C R B, G' = -i C R^2 B and
+    G'' = -2 C R^3 B = -2 (C R)(R^2 B).  Each measurement is one stacked
+    solve of [lhs, lhs^2, lhs^T] against [B, B, C^T], lhs = i w I - A: the
+    first over every candidate, the later ones over the systems still
+    stepping.  With a = C R^2 B / G and b = C R^3 B / G the Newton step is
+    Im a / (2 Re b - |a|^2), and Im a times it is the rise of phi it
+    promises, relative to phi.  Where phi is not concave (a dip, or a flank
+    past its inflection) Newton would climb down, and the step goes instead
+    to the frequency of the pole that a one-pole G = r / (i w - p) with the
+    same a and b would have: -Im(a / b).  A step is kept only where the
+    gain measured at its end rose, so every gain returned is a measured
+    one.  A system stops at the first step that does not raise its gain,
+    once a Newton step promises a rise below rel_tol/1000 (far inside the
+    gap rel_tol/5 that the level-set test at hi = (1 + rel_tol/5) lo
+    leaves), or after HINF_POLISH_STEPS steps.  Which of these it meets
+    depends on its own matrices alone, so its result is the same alone and
+    in a stack."""
+    n = st.A.shape[-1]
+    sizes = [w.size for w in omegas]
+    w = np.concatenate(omegas)
+    if len(rows) == w.size == len(st.A):  # one candidate per system: the stack itself
+        A, C = st.A, st.C
+    else:
+        take = np.repeat(rows, sizes)  # the system of each candidate
+        A, C, rhs = st.A[take], st.C[take], rhs[take]
+    # [lhs, lhs^2, lhs^T]: off the diagonal lhs is -A and lhs^T is -A^T;
+    # each step writes the diagonal i w - A_jj of both, and lhs^2
+    lhs = np.empty((w.size, 3, n, n), dtype=complex)
+    lhs[:, 0], lhs[:, 2] = -A, -A.swapaxes(1, 2)
+    diag = np.diagonal(A, axis1=1, axis2=2)[:, None, :]
+
+    def views(lhs):
+        """lhs, lhs^2 and the diagonals of lhs and lhs^T, as views of lhs"""
+        return lhs[:, 0], lhs[:, 1], lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1]
+
+    lhs0, lhs1, diagonals = views(lhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(HINF_POLISH_STEPS + 1):
+            np.subtract(1j * w[:, None, None], diag, out=diagonals)
+            np.matmul(lhs0, lhs0, out=lhs1)
+            x = np.linalg.solve(lhs, rhs)[..., 0]
+            g = (C @ x[:, 0, :, None])[:, 0, 0]
+            gain = np.abs(g)
+            if step:
+                go = gain > g_best
+                g_best, w_best = np.where(go, gain, g_best), np.where(go, w, w_best)
+                if step == HINF_POLISH_STEPS:
+                    break
+            else:
+                if w.size > len(rows):  # each system's best candidate, the first of equal gains
+                    best, start = [], 0
+                    for size in sizes:
+                        best.append(start + int(gain[start:start + size].argmax()))
+                        start += size
+                    diag, C, rhs, lhs, x, g, gain, w = (
+                        v[best] for v in (diag, C, rhs, lhs, x, g, gain, w))
+                    lhs0, lhs1, diagonals = views(lhs)
+                raised = gain > np.asarray(floor)
+                go, at = raised, np.arange(len(rows))  # the systems still stepping
+                g_best = out_g = gain
+                w_best = out_w = w
+            a, b = (x[:, :2] @ x[:, 2, :, None])[..., 0].T / g
+            curv = (2.0 * b - a * a.conj()).real
+            delta = a.imag / curv
+            flat = curv <= 0.0
+            if flat.any():  # to the pole of the one-pole G = r / (i w - p): a / b = i w - p
+                delta = np.where(flat, -(a / b).imag, delta)
+            go = go & ((a.imag * delta > 1e-3 * rel_tol) | flat) & np.isfinite(delta)
+            if not go.all():
+                out_g[at], out_w[at] = g_best, w_best
+                if not go.any():
+                    break
+                at, diag, C, rhs, lhs = at[go], diag[go], C[go], rhs[go], lhs[go]
+                g_best, w_best, w, delta = g_best[go], w_best[go], w[go], delta[go]
+                lhs0, lhs1, diagonals = views(lhs)
+            w = w + delta
+    out_g[at], out_w[at] = g_best, w_best
+    return out_g, out_w, raised
 
 
 def _hinf_norms(st: _Stack, eigenvalues: np.ndarray, abscissa: np.ndarray,
                 rel_tol: float) -> list:
     """`hinf_norm` on every system of a stack of Hurwitz systems at once:
     one (norm, frequency) per system, or the RuntimeError that ends its
-    iteration.  Each step is one stacked level-set test over the systems
-    still crossing, then one solve over all their crossings and midpoints."""
+    iteration.  Each step polishes the candidate peak of every system still
+    crossing (`_polish`), then runs one stacked level-set test over them."""
     k, n = eigenvalues.shape
-    # the state matrix has complex coefficients, so |G(i w)| is not symmetric
-    # in w and the seeds run over the whole signed axis
-    radii = np.abs(eigenvalues)
-    extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
-    seeds = [_unique(w) for w in np.concatenate(
-        [np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1)]
-    lo, freq = map(list, zip(*_peak_gains(st, range(k), seeds)))
+    lo, freq = _seed_peaks(st, eigenvalues)
+    rhs = np.stack([st.B, st.B, st.C.swapaxes(1, 2)], axis=1)
     hi = [math.nan] * k
     out: list = [None] * k
-    active = []
+    rows = []
     for i in range(k):
         if lo[i] != 0.0:
-            active.append(i)
+            rows.append(i)
         elif not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
             # G == 0 iff every Markov parameter C A^p B, p < n, is zero
             out[i] = (0.0, 0.0)
         else:
             out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-
+    # the first polish starts at each system's best seed; a later one at the
+    # best of its crossings and their midpoints, which must beat lo
+    omegas = [np.array([freq[i]]) for i in rows]
+    floor = [-math.inf] * len(rows)
     for _ in range(HINF_MAX_ITER):
-        if not active:
+        if not rows:
             break
-        for i in active:
-            hi[i] = (1.0 + rel_tol / 5.0) * lo[i]
-        crossing, omegas = [], []
-        for i, c in zip(active, _imag_axis_crossings(st.take(active), [hi[i] for i in active])):
+        testing = []
+        polished = _polish(st, rhs, rows, omegas, floor, rel_tol)
+        for i, g, w, raised in zip(rows, *(v.tolist() for v in polished)):
+            if raised:
+                lo[i], freq[i], hi[i] = g, w, (1.0 + rel_tol / 5.0) * g
+                testing.append(i)
+            else:
+                out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+        rows, omegas = [], []
+        crossings = _imag_axis_crossings(st.take(testing), [hi[i] for i in testing]) if testing else ()
+        for i, c in zip(testing, crossings):
             if c.size == 0:
                 out[i] = (hi[i], freq[i])
             else:
-                crossing.append(i)
+                rows.append(i)
                 omegas.append(np.concatenate([c, (c[:-1] + c[1:]) / 2.0]))
-        active = []
-        for i, (g, w) in zip(crossing, _peak_gains(st, crossing, omegas) if crossing else ()):
-            if g > lo[i]:
-                lo[i], freq[i] = g, w
-                active.append(i)
-            else:
-                out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
-    for i in active:
+        floor = [lo[i] for i in rows]
+    for i in rows:
         out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
     return out
 
@@ -268,16 +367,24 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     sup |G(i w)| and the frequency of the largest gain measured.
 
     The level-set iteration of Bruinsma & Steinbuch (Systems & Control
-    Letters 14, 1990).  The lower bound `lo` starts as the largest gain at
-    w = 0, Im lambda(A), +-|lambda(A)| and n multiples of max |lambda(A)|
-    beyond it.  Those are n + 1 or more distinct frequencies, and a strictly
-    proper G that is not identically zero vanishes at no more than n - 1 of
-    them.  Each step tests the level hi = (1 + rel_tol/5) lo with the
+    Letters 14, 1990), with Newton-polished peaks.  The lower bound `lo`
+    starts as the largest gain at w = 0, Im lambda(A), +-|lambda(A)|, n
+    multiples of max |lambda(A)| beyond it, and the midpoints between
+    consecutive ones.  Those are n + 1 or more distinct frequencies, and a
+    strictly proper G that is not identically zero vanishes at no more than
+    n - 1 of them.  Before each test, Newton steps on |G(i w)|^2 move `lo`
+    and its frequency onto the local maximum they sit by (`_polish`; where
+    |G|^2 is not concave, a step to the frequency of the locally dominant
+    pole instead).  A step is kept only where the gain measured at its end
+    rose, so `lo` is always a measured |G(i w)|: a lower bound on the norm.
+    Each step then tests the level hi = (1 + rel_tol/5) lo with the
     imaginary-axis test of Boyd, Balakrishnan & Kabamba (1989), valid for
     complex state matrices.  No crossing means the gain stays below hi on
-    the whole (signed) axis, and hi is returned.  Otherwise `lo` rises to the
-    largest gain at the crossings and the midpoints between consecutive
-    ones; a step that cannot raise it, or HINF_MAX_ITER steps, raise
+    the whole (signed) axis, and hi is returned: the bound comes from that
+    test alone, and the polish only makes the first test more likely to be
+    the last.  Otherwise the largest gain at the crossings and the
+    midpoints between consecutive ones is polished and becomes `lo`; a step
+    where it does not exceed `lo`, or HINF_MAX_ITER steps, raise
     RuntimeError.  Requires `ss.hurwitz`, otherwise the axis supremum is not
     the norm; the seeds come from the spectrum `ss` holds.  This is the
     stack of one of `_hinf_norms`, which `certify_all` runs on many.
@@ -379,6 +486,32 @@ def is_certified(model: SystemModel) -> bool:
     return _raised(is_certified_all([model])[0])
 
 
+def _certificates(st: _Stack, spectra, gamma_half: list, margin: float = 0.0) -> list:
+    """The `_per_model` decision of `certify_all`: one StabilityCertificate
+    per system of `st`, or the RuntimeError that ended its norm."""
+    ev, abscissa, tol, hurwitz = spectra
+    rows = np.flatnonzero(hurwitz)
+    norms = [(math.nan, math.nan)] * len(gamma_half)
+    if rows.size:
+        found = _hinf_norms(st.take(rows), ev[rows], abscissa[rows], HINF_DEFAULT_REL_TOL)
+        for i, result in zip(rows.tolist(), found):
+            norms[i] = result
+    out = []
+    for e, a, t, h, g, result in zip(ev.tolist(), abscissa.tolist(), tol.tolist(),
+                                     hurwitz.tolist(), gamma_half, norms):
+        if isinstance(result, Exception):
+            out.append(result)
+            continue
+        norm, freq = result
+        out.append(StabilityCertificate(
+            eigenvalues_F=tuple(e), spectral_abscissa=a, hurwitz=h,
+            hinf_norm=float(norm), hinf_freq=float(freq), gamma_half=g,
+            certified=h and norm < g * (1.0 - margin),
+            hurwitz_tol=t, hinf_tol=HINF_DEFAULT_REL_TOL,
+        ))
+    return out
+
+
 def certify_all(models, margin: float = 0.0) -> list:
     """`certify` on every model at once: one StabilityCertificate per model,
     in order, or the exception `certify` raises for it.  The spectra, each
@@ -386,31 +519,7 @@ def certify_all(models, margin: float = 0.0) -> list:
     models, and the results are bit for bit those of `certify`."""
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
-
-    def decide(st, spectra, gamma_half):
-        ev, abscissa, tol, hurwitz = spectra
-        rows = np.flatnonzero(hurwitz)
-        norms = [(math.nan, math.nan)] * len(gamma_half)
-        if rows.size:
-            found = _hinf_norms(st.take(rows), ev[rows], abscissa[rows], HINF_DEFAULT_REL_TOL)
-            for i, result in zip(rows.tolist(), found):
-                norms[i] = result
-        out = []
-        for e, a, t, h, g, result in zip(ev.tolist(), abscissa.tolist(), tol.tolist(),
-                                         hurwitz.tolist(), gamma_half, norms):
-            if isinstance(result, Exception):
-                out.append(result)
-                continue
-            norm, freq = result
-            out.append(StabilityCertificate(
-                eigenvalues_F=tuple(e), spectral_abscissa=a, hurwitz=h,
-                hinf_norm=float(norm), hinf_freq=float(freq), gamma_half=g,
-                certified=h and norm < g * (1.0 - margin),
-                hurwitz_tol=t, hinf_tol=HINF_DEFAULT_REL_TOL,
-            ))
-        return out
-
-    return _per_model(models, decide)
+    return _per_model(models, lambda st, spectra, gamma_half: _certificates(st, spectra, gamma_half, margin))
 
 
 def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:

@@ -16,8 +16,9 @@ from .model import SystemModel
 from .params import PhysicalParams
 from .stability import (
     HINF_DEFAULT_REL_TOL,
+    _certificates,
+    _per_model,
     _raised,
-    _realization,
     certify_all,
     is_certified_all,
     state_space,
@@ -135,18 +136,23 @@ def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
     coupling value.
 
     The norm is `certify_all`'s on that row of the one base build (see
-    `_sweep`), so the row is validated as every other row is.  Its slope
-    comes from the envelope theorem at the peak frequency w*:
+    `_sweep`), so the row is validated as every other row is, and the slope
+    reuses the realization F, B, C built for it.  The slope comes from the
+    envelope theorem at the peak frequency w*:
     d||G||_inf/dkappa2 = Re(conj(G) C R E R B) / |G| with
     R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
     stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
     calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
     is Hurwitz at every kappa2 > 0 once it is at the flip interval's
     certified end."""
-    k1 = base.params.kappa1
-    cert = _raised(_sweep(base, [(k1, kappa2)], certify_all)[0])
-    model = base.model
-    F, B, C = _realization(model.n_modes, model.M, build_coupling(k1, kappa2), model.Etilde)
+
+    def certified_rows(models):
+        return _per_model(models, lambda st, spectra, gamma_half: [
+            (cert, st) for cert in _certificates(st, spectra, gamma_half)])
+
+    result, st = _raised(_sweep(base, [(base.params.kappa1, kappa2)], certified_rows)[0])
+    cert = _raised(result)
+    F, B, C = st.A[0], st.B[0], st.C[0]
     lhs = 1j * cert.hinf_freq * np.eye(len(F)) - F
     rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
     g = (C @ rb).item()

@@ -182,6 +182,30 @@ class TestNormAgainstClosedForm:
     def test_norm_is_upper_bound(self, p):
         assert hinf_norm(state_space(build_model(p)))[0] >= closed_form_peak(p)[0] * (1 - 1e-12)
 
+    @pytest.mark.parametrize("p", draws(seed=17) + draws(seed=23) + draws(seed=29),
+                             ids=lambda p: f"k2={p.kappa2:.3e}")
+    def test_peak_is_found(self, p):
+        # the reported frequency is the peak itself, not a point within the
+        # level-set tolerance of it
+        peak, _ = closed_form_peak(p)
+        cert = certify(build_model(p))
+        assert closed_form_gain(p, [cert.hinf_freq])[0] >= peak * (1 - 1e-8)
+
+    def test_global_not_local_peak(self):
+        # two local peaks 0.35% apart: the lower one, at 4.585e11 rad/s, is
+        # where a search that only climbs from its best seed would stop
+        p = jc.reference_params().replace(
+            omega=600244724026.3052, g=0.1426595744680851, U=2.1147127659574467e-22,
+            Jp=367299829787.2341, kappa1=104468085106.383, kappa2=4455907535446.152)
+        peak, freq = closed_form_peak(p)
+        lower = 4.58514e11
+        near = closed_form_gain(p, [lower * (1 - 1e-3), lower, lower * (1 + 1e-3)])
+        assert near[1] > max(near[0], near[2]) and near[1] > peak * (1 - 4e-3)
+        assert abs(freq - lower) > 0.2 * freq
+        cert = certify(build_model(p))
+        assert cert.hinf_freq == pytest.approx(freq, rel=1e-6)
+        assert cert.hinf_norm >= peak
+
     @pytest.mark.parametrize("p", draws(seed=19), ids=lambda p: f"Jp={p.Jp:.3e}")
     def test_threshold(self, p):
         star = closed_form_threshold(p)

@@ -7,6 +7,7 @@ import pytest
 import jjcavity as jc
 from jjcavity import stability
 from jjcavity.builder import build_coupling, build_model, build_zeta
+from jjcavity.model import _encode_complex
 from jjcavity.stability import (
     StateSpace,
     build_F,
@@ -351,6 +352,16 @@ class TestCertify:
         d = json.loads(paper_certificate.to_json())
         assert d["certified"] is True
         assert d["hinf_norm"] == paper_certificate.hinf_norm
+
+    def test_json_is_asdict_json(self, paper_model):
+        # the paper certificate, a non-Hurwitz one (NaN norm) and a G == 0 one
+        models = batch_models(paper_model)
+        certs = [certify(models[i]) for i in (4, 3, 5)]
+        assert not certs[1].hurwitz and np.isnan(certs[1].hinf_norm)
+        assert certs[2].hinf_norm == 0.0
+        for cert in certs:
+            want = json.dumps(dataclasses.asdict(cert), default=_encode_complex)
+            assert cert.to_json() == want
 
 
 class TestIsCertified:
