@@ -216,6 +216,12 @@ def _violations(M: np.ndarray, N: np.ndarray, Etilde: np.ndarray, constants) -> 
     return out
 
 
+def _invalid(violations: list[str]) -> ValueError:
+    """The error that `certify` raises for a model with the structural
+    violations `violations`."""
+    return ValueError("model fails structural validation: " + "; ".join(violations))
+
+
 def validate_model(model: SystemModel) -> list[str]:
     """Return the list of structural violations (empty iff the model is valid):
     `_violations` on the stack of one.  Dimension mismatches and constants

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemModel, _encode_complex, _violations, j_matrix, sigma_matrix
+from .model import SystemModel, _encode_complex, _invalid, _violations, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
 #: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
@@ -137,16 +137,20 @@ def is_hurwitz(F: np.ndarray) -> bool:
 
 
 def transfer_response(ss, s) -> np.ndarray:
-    """G at every point of the 1-D array `s` (the frequency response when
-    s = i w), from one stacked linear solve on the (k, n, n) array of
-    sI - A (never explicit inversion).  `ss` is a StateSpace, or a stack
-    of systems with one system per point.  A point that is (numerically)
-    an eigenvalue of A fails the whole solve with numpy's LinAlgError."""
-    s = np.asarray(s, dtype=complex).reshape(-1)
-    n = ss.A.shape[-1]
-    lhs = s[:, None, None] * np.eye(n, dtype=complex) - ss.A
-    x = np.linalg.solve(lhs, ss.B.reshape(-1, n, 1))
-    return (ss.C @ x)[:, 0, 0]
+    """G at every point of the array `s` (the frequency response when
+    s = i w), from one stacked linear solve on the array of sI - A (never
+    explicit inversion); a scalar s gives shape (1,).  `ss` is a
+    StateSpace, or a stack whose A, B and C broadcast against the points:
+    with A[:, None], B[:, None] and C[:, None] of k systems and a (k, m)
+    array s, each system at its own m points.  A point that is
+    (numerically) an eigenvalue of A fails the whole solve with numpy's
+    LinAlgError."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    lhs = s[..., None, None] * np.eye(ss.A.shape[-1], dtype=complex) - ss.A
+    # B at the ndim of lhs: numpy < 2 reads a b of one dimension less as a
+    # stack of vectors
+    x = np.linalg.solve(lhs, ss.B[(None,) * (lhs.ndim - ss.B.ndim)])
+    return (ss.C @ x)[..., 0, 0]
 
 
 def transfer_eval(ss: StateSpace, s: complex) -> complex:
@@ -181,10 +185,8 @@ def _seed_peaks(st: _Stack, eigenvalues: np.ndarray) -> tuple[list, list]:
     extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
     w = np.sort(np.concatenate([np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1))
     w = np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
-    if k > 1:  # a stack of one broadcasts over the points
-        idx = np.repeat(np.arange(k), w.shape[1])
-        st = _Stack(st.A[idx], st.B[idx], st.C[idx])
-    gains = np.abs(transfer_response(st, 1j * w.ravel())).reshape(w.shape)
+    systems = _Stack(st.A[:, None], st.B[:, None], st.C[:, None])  # each over its row of w
+    gains = np.abs(transfer_response(systems, 1j * w)).reshape(w.shape)
     rows, best = np.arange(k), gains.argmax(axis=1)
     return gains[rows, best].tolist(), w[rows, best].tolist()
 
@@ -410,32 +412,32 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     return _raised(_hinf_norms(st, ss.eigenvalues[None], [ss.abscissa], rel_tol)[0])
 
 
+def _decided(st: _Stack, gamma_half: list, decide) -> list:
+    """`decide(st, spectra, gamma_half)` on the stack `st`, its spectra from
+    one eigvals call: one result per system.  A LinAlgError from a stacked
+    LAPACK call redoes the stack one system at a time, so that only the
+    systems that fail alone carry the error."""
+    try:
+        return decide(st, _spectra(st.A), gamma_half)
+    except np.linalg.LinAlgError as exc:
+        if len(gamma_half) == 1:
+            return [exc]
+        return [_decided(st.take([j]), gamma_half[j:j + 1], decide)[0] for j in range(len(gamma_half))]
+
+
 def _per_model(models, decide) -> list:
     """One result per model, in order: the ValueError that its structural
-    violations raise, or what `decide(stack, spectra, gamma_half)` gives
-    for it.
+    violations raise, or what `_decided` with `decide` gives for it.
 
     The models of one order n are stacked once: M, N and Etilde are
     validated in one pass (`model._violations`), and the valid slice of the
-    same arrays gives the realization that decide runs on, with the spectra
-    from one eigvals call.  A sweep's rows share M, Etilde and the sector
-    constants of one build (F is affine in the coupling rates), so only N
-    differs along such a stack.  A LinAlgError from a stacked LAPACK call
-    redoes that batch one model at a time, so that only the models that
-    fail alone carry the error."""
+    same arrays gives the realization that decide runs on.  This serves
+    independent models; a sweep, whose rows differ only in N, builds its
+    stack from one validated base instead (`sweep._sweep`)."""
     out: list = [None] * len(models)
     orders: dict = {}
     for i, model in enumerate(models):
         orders.setdefault(model.n_modes, []).append(i)
-
-    def run(st, gamma_half):
-        try:
-            return decide(st, _spectra(st.A), gamma_half)
-        except np.linalg.LinAlgError as exc:
-            if len(gamma_half) == 1:
-                return [exc]
-            return [run(st.take([j]), gamma_half[j:j + 1])[0] for j in range(len(gamma_half))]
-
     for n, rows in orders.items():
         batch = [models[i] for i in rows]
         M, N, Etilde = (np.array([getattr(m, name) for m in batch]) for name in ("M", "N", "Etilde"))
@@ -443,34 +445,36 @@ def _per_model(models, decide) -> list:
         valid = []
         for j, (i, violations) in enumerate(zip(rows, found)):
             if violations:
-                out[i] = ValueError("model fails structural validation: " + "; ".join(violations))
+                out[i] = _invalid(violations)
             else:
                 valid.append(j)
         if len(valid) < len(rows):
             M, N, Etilde = M[valid], N[valid], Etilde[valid]
         if valid:
             st = _Stack(*_realization(n, M, N, Etilde))
-            for j, result in zip(valid, run(st, [batch[j].gamma / 2.0 for j in valid])):
+            for j, result in zip(valid, _decided(st, [batch[j].gamma / 2.0 for j in valid], decide)):
                 out[rows[j]] = result
     return out
+
+
+def _verdicts(st: _Stack, spectra, gamma_half: list) -> list[bool]:
+    """The `_decided` decision of `is_certified_all`: one verdict per system
+    of `st`, from one stacked level-set test at gamma/2 over its Hurwitz
+    systems."""
+    rows = np.flatnonzero(spectra[3])  # the Hurwitz systems
+    verdicts = [False] * len(gamma_half)
+    if rows.size:
+        crossings = _imag_axis_crossings(st.take(rows), [gamma_half[i] for i in rows])
+        for i, c in zip(rows.tolist(), crossings):
+            verdicts[i] = c.size == 0
+    return verdicts
 
 
 def is_certified_all(models) -> list:
     """`is_certified` on every model at once: one verdict per model, in
     order, or the exception `is_certified` raises for it.  One stacked
     spectrum and one stacked level-set test at gamma/2 per order n."""
-
-    def decide(st, spectra, gamma_half):
-        hurwitz = spectra[3]
-        rows = np.flatnonzero(hurwitz)
-        verdicts = [False] * len(gamma_half)
-        if rows.size:
-            crossings = _imag_axis_crossings(st.take(rows), [gamma_half[i] for i in rows])
-            for i, c in zip(rows.tolist(), crossings):
-                verdicts[i] = c.size == 0
-        return verdicts
-
-    return _per_model(models, decide)
+    return _per_model(models, _verdicts)
 
 
 def is_certified(model: SystemModel) -> bool:
@@ -487,7 +491,7 @@ def is_certified(model: SystemModel) -> bool:
 
 
 def _certificates(st: _Stack, spectra, gamma_half: list, margin: float = 0.0) -> list:
-    """The `_per_model` decision of `certify_all`: one StabilityCertificate
+    """The `_decided` decision of `certify_all`: one StabilityCertificate
     per system of `st`, or the RuntimeError that ended its norm."""
     ev, abscissa, tol, hurwitz = spectra
     rows = np.flatnonzero(hurwitz)

@@ -3,7 +3,6 @@ and Bode data emission."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -12,15 +11,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .builder import build_coupling, build_model
-from .model import SystemModel
+from .model import SystemModel, _invalid, validate_model
 from .params import PhysicalParams
 from .stability import (
     HINF_DEFAULT_REL_TOL,
     _certificates,
-    _per_model,
+    _decided,
     _raised,
-    certify_all,
-    is_certified_all,
+    _realization,
+    _Stack,
+    _verdicts,
     state_space,
     transfer_eval,
     transfer_response,
@@ -57,8 +57,9 @@ class BodeRow:
 
 
 class _Base(NamedTuple):
-    """The constants of a sweep, and `build_model` on them or the exception
-    that building it raised."""
+    """The constants of a sweep, and `build_model` on them once it passes
+    `validate_model`, or the exception that building or validating it
+    raised."""
 
     params: PhysicalParams
     model: SystemModel | Exception
@@ -66,40 +67,51 @@ class _Base(NamedTuple):
 
 def _base(params: PhysicalParams) -> _Base:
     try:
-        return _Base(params, build_model(params))
+        model = build_model(params)
     except Exception as exc:  # every row's result, after its own coupling check
         return _Base(params, exc)
+    violations = validate_model(model)
+    return _Base(params, _invalid(violations) if violations else model)
 
 
 def _sweep(base: _Base, couplings, decide) -> list:
-    """`decide` (certify_all or is_certified_all) on the model at every
-    (kappa1, kappa2) pair at once: one result per pair, in order, or the
-    exception that building, validating or deciding its model raised.
+    """`decide` (`_certificates` or `_verdicts`, see `stability._decided`)
+    on the model at every (kappa1, kappa2) pair at once: one result per
+    pair, in order, or the exception that building, validating or deciding
+    its model raised.
 
     F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: M,
     Etilde and the sector constants do not depend on them, and
     N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)).  So
-    only N changes from row to row; M, Etilde, gamma and the deltas come
-    from the one build in `base`, and `decide` validates all rows in one
-    stacked pass.  Each row first checks its pair as
+    only N changes from row to row.  M, Etilde, gamma and the deltas come
+    from the one build in `base`, validated once there; each row adds only
+    its N (`build_coupling`), which is block-structured and finite for
+    every pair `params.replace` accepts.  The rows are realized as one
+    stack and decided in one pass.  Each row first checks its pair as
     `params.replace(kappa1=..., kappa2=...)` would, so a bad pair keeps its
     own error ahead of any error from the base build."""
-    models = []
+    rows = []  # each pair's N, or its error
     for k1, k2 in couplings:
         try:
             base.params.replace(kappa1=k1, kappa2=k2)
-            models.append(dataclasses.replace(_raised(base.model), N=build_coupling(k1, k2)))
+            m = _raised(base.model)
+            rows.append(build_coupling(k1, k2))
         except Exception as exc:  # the row's own result
-            models.append(exc)
-    decided = iter(decide([m for m in models if not isinstance(m, Exception)]))
-    return [m if isinstance(m, Exception) else next(decided) for m in models]
+            rows.append(exc)
+    N = [r for r in rows if not isinstance(r, Exception)]
+    if N:  # m is the base model: some row got past it
+        Etilde = np.broadcast_to(m.Etilde, (len(N),) + m.Etilde.shape)
+        st = _Stack(*_realization(m.n_modes, m.M, np.array(N), Etilde))
+        decided = iter(_decided(st, [m.gamma / 2.0] * len(N), decide))
+        rows = [r if isinstance(r, Exception) else next(decided) for r in rows]
+    return rows
 
 
 def _certified_at(base: _Base, kappa2_values) -> list[bool]:
     """The verdict at each junction coupling value, from one stacked verdict
     call."""
     k1 = base.params.kappa1
-    return [_raised(r) for r in _sweep(base, [(k1, k2) for k2 in kappa2_values], is_certified_all)]
+    return [_raised(r) for r in _sweep(base, [(k1, k2) for k2 in kappa2_values], _verdicts)]
 
 
 def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
@@ -108,7 +120,7 @@ def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
     values = [float(k2) for k2 in kappa2_values]
     records = []
     couplings = [(params.kappa1, k2) for k2 in values]
-    for k2, cert in zip(values, _sweep(_base(params), couplings, certify_all)):
+    for k2, cert in zip(values, _sweep(_base(params), couplings, _certificates)):
         if isinstance(cert, Exception):
             records.append(SweepRecord(kappa2=k2, hinf_norm=float("nan"),
                                        hurwitz=False, certified=False, error=str(cert)))
@@ -135,10 +147,10 @@ def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
     """(||G||_inf, d||G||_inf / dkappa2) of the model at one junction
     coupling value.
 
-    The norm is `certify_all`'s on that row of the one base build (see
-    `_sweep`), so the row is validated as every other row is, and the slope
-    reuses the realization F, B, C built for it.  The slope comes from the
-    envelope theorem at the peak frequency w*:
+    The norm is `certify`'s on that row of the one validated base build
+    (see `_sweep`), and the slope reuses the realization F, B, C that the
+    row's decide function receives.  The slope comes from the envelope
+    theorem at the peak frequency w*:
     d||G||_inf/dkappa2 = Re(conj(G) C R E R B) / |G| with
     R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
     stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
@@ -146,9 +158,8 @@ def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
     is Hurwitz at every kappa2 > 0 once it is at the flip interval's
     certified end."""
 
-    def certified_rows(models):
-        return _per_model(models, lambda st, spectra, gamma_half: [
-            (cert, st) for cert in _certificates(st, spectra, gamma_half)])
+    def certified_rows(st, spectra, gamma_half):
+        return [(cert, st) for cert in _certificates(st, spectra, gamma_half)]
 
     result, st = _raised(_sweep(base, [(base.params.kappa1, kappa2)], certified_rows)[0])
     cert = _raised(result)
@@ -169,7 +180,7 @@ def find_threshold(
     Requires certified(lo) = False and certified(hi) = True.  Monotonicity
     of the certified predicate is observed rather than proven, so a 20-point
     log grid from lo to hi (exactly) is audited first, in one stacked
-    verdict call (`is_certified_all`); its end verdicts are the bracket
+    verdict call (`_verdicts`); its end verdicts are the bracket
     checks, and a certified point followed by an uncertified one raises
     RuntimeError.  The two audit points where the verdict flips bound the
     search.  From their geometric midpoint, Newton runs on
@@ -313,7 +324,7 @@ def kappa1_sensitivity(
     """H-infinity norm per cavity coupling value, junction coupling fixed,
     from one stacked certification; the first failing row raises."""
     values = [float(k1) for k1 in kappa1_values]
-    certs = _sweep(_base(params), [(k1, kappa2_fixed) for k1 in values], certify_all)
+    certs = _sweep(_base(params), [(k1, kappa2_fixed) for k1 in values], _certificates)
     return [(k1, _raised(cert).hinf_norm) for k1, cert in zip(values, certs)]
 
 

@@ -170,6 +170,21 @@ class TestTransferResponse:
         self.assert_matches_per_point(ss, s)
         assert transfer_response(ss, s[0]).shape == (1,)
 
+    def test_stacked_systems_broadcast_over_their_rows(self, paper_model):
+        # k systems (A[:, None], ...) over a (k, m) array of points: row i
+        # is, bit for bit, system i's own 1-D call on s[i]
+        rng = np.random.default_rng(53)
+        systems = [state_space(paper_model)] + [state_space(make_random_model(rng)) for _ in range(6)]
+        grid = np.logspace(0.0, 15.0, 600)
+        s = np.array([1j * np.concatenate([[0.0], grid, -grid, np.linalg.eigvals(ss.A).imag])
+                      for ss in systems])
+        st = stability._Stack(*(np.array([getattr(ss, name) for ss in systems])[:, None]
+                                for name in ("A", "B", "C")))
+        got = transfer_response(st, s)
+        assert got.shape == s.shape
+        for ss, row, g in zip(systems, s, got):
+            assert np.array_equal(g, transfer_response(ss, row))
+
 
 class TestHinfNorm:
     def test_scalar_lag(self):

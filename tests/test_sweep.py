@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from jjcavity import builder, stability, sweep
-from jjcavity.builder import build_model
+from jjcavity import model as jmodel
+from jjcavity.builder import build_coupling, build_model
 from jjcavity.stability import build_F, certify, is_certified, state_space
 from jjcavity.sweep import (
     SweepRecord,
@@ -507,3 +508,76 @@ class TestBuildCount:
         assert len(calls) == 2
         find_threshold(paper_params, 1e11, 1e13)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("run", [
+        lambda p: sweep_kappa2(p, np.logspace(11, 13, 40)),
+        lambda p: kappa1_sensitivity(p, np.logspace(10, 12, 9), kappa2_fixed=2.5e12),
+        lambda p: find_threshold(p, 1e11, 1e13),
+    ], ids=["sweep_kappa2", "kappa1_sensitivity", "find_threshold"])
+    def test_one_model_and_one_validation_per_call(self, paper_params, monkeypatch, run):
+        # every SystemModel constructed, and the number of models each
+        # validation pass checks, whichever module runs it
+        built, validated = [], []
+        post_init, violations = jmodel.SystemModel.__post_init__, jmodel._violations
+
+        def counted_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counted_violations(M, *args):
+            validated.append(len(M))
+            return violations(M, *args)
+
+        monkeypatch.setattr(jmodel.SystemModel, "__post_init__", counted_init)
+        for module in (jmodel, stability):
+            monkeypatch.setattr(module, "_violations", counted_violations)
+        run(paper_params)
+        assert len(built) == 1
+        assert validated == [1]
+
+
+class TestInvalidBase:
+    """A base build that fails validation is the error of every row whose
+    own coupling pair is good, word for word what `certify` raises on that
+    row's model."""
+
+    @pytest.fixture(params=["M", "gamma"])
+    def invalid_build(self, request, monkeypatch):
+        def invalid(params):
+            m = build_model(params)
+            if request.param == "gamma":
+                return dataclasses.replace(m, gamma=-1.0)
+            M = m.M.copy()
+            M[0, 1] += 1e-3 * np.abs(M).max()  # breaks Hermitian symmetry
+            return dataclasses.replace(m, M=M)
+
+        monkeypatch.setattr(sweep, "build_model", invalid)
+        return invalid
+
+    @staticmethod
+    def certify_error(m):
+        with pytest.raises(ValueError, match="model fails structural validation") as exc:
+            certify(m)
+        return str(exc.value)
+
+    def test_rows_carry_certify_error(self, paper_params, invalid_build):
+        kappa2 = [1e11, -1.0, 2.5e12, 1e13]
+        recs = sweep_kappa2(paper_params, kappa2)
+        assert recs[1].error == "coupling rates must be nonnegative"
+        for k2, rec in zip(kappa2, recs):
+            if k2 > 0:
+                row = dataclasses.replace(invalid_build(paper_params),
+                                          N=build_coupling(paper_params.kappa1, k2))
+                assert rec.error == self.certify_error(row)
+                assert math.isnan(rec.hinf_norm) and not rec.hurwitz and not rec.certified
+
+    def test_sensitivity_and_threshold_raise_it(self, paper_params, invalid_build):
+        want = self.certify_error(invalid_build(paper_params))
+        with pytest.raises(ValueError, match="coupling rates"):
+            kappa1_sensitivity(paper_params, [-1.0, 1e11], kappa2_fixed=2.5e12)
+        with pytest.raises(ValueError) as exc:
+            kappa1_sensitivity(paper_params, [1e11, -1.0], kappa2_fixed=2.5e12)
+        assert str(exc.value) == want
+        with pytest.raises(ValueError) as exc:
+            find_threshold(paper_params, 1e11, 1e13)
+        assert str(exc.value) == want
