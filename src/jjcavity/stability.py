@@ -3,14 +3,14 @@ function, H-infinity norm, and the final certificate.
 
 The Hurwitz test, the norm search and the verdict run on a stack of
 models of one order at once, each step one stacked LAPACK call; a single
-model is the stack of one."""
+model is the stack of one.  Every spectrum, Hurwitz verdict and spectral
+abscissa comes from `_spectra`, computed where it is used."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,46 +44,28 @@ def _spectra(A: np.ndarray):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Strictly proper single-channel system G(s) = C (sI - A)^-1 B, with
-    the spectrum of A and its Hurwitz verdict computed once, by the rule of
-    `_spectra`."""
+    """Strictly proper single-channel system G(s) = C (sI - A)^-1 B, or a
+    stack of such systems of one order n along leading axes: A (..., n, n),
+    B (..., n, 1), C (..., 1, n).  B and C may come loose, (..., n) or
+    flat; they are reshaped to those shapes."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    eigenvalues: np.ndarray = field(init=False)
-    abscissa: float = field(init=False)
-    hurwitz_tol: float = field(init=False)
-    hurwitz: bool = field(init=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
-        object.__setattr__(self, "A", A)
-        n = A.shape[0]
-        if A.shape != (n, n):
+        if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
             raise ValueError(f"A must be square, got {A.shape}")
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(n, 1))
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(1, n))
-        ev, abscissa, tol, hurwitz = _spectra(A)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "abscissa", float(abscissa))
-        object.__setattr__(self, "hurwitz_tol", float(tol))
-        object.__setattr__(self, "hurwitz", bool(hurwitz))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", np.asarray(self.B, dtype=complex).reshape(A.shape[:-1] + (1,)))
+        object.__setattr__(self, "C", np.asarray(self.C, dtype=complex).reshape(A.shape[:-2] + (1, A.shape[-1])))
 
-
-class _Stack(NamedTuple):
-    """Systems of one order n stacked along a leading axis: A (k, n, n),
-    B (k, n, 1), C (k, 1, n)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def take(self, rows) -> "_Stack":
+    def take(self, rows) -> "StateSpace":
         """The systems at the ascending, distinct indices `rows`."""
         if len(rows) == len(self.A):
             return self
-        return _Stack(self.A[rows], self.B[rows], self.C[rows])
+        return StateSpace(self.A[rows], self.B[rows], self.C[rows])
 
 
 @dataclass(frozen=True)
@@ -106,45 +88,46 @@ class StabilityCertificate:
         return json.dumps(d, default=_encode_complex)
 
 
-def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray):
-    """(A, B, C) of the perturbation channel of one model, or of each model
-    of a stack of one order n: A = F = -i J M - (1/2) J N^dag J N,
-    B = J Sigma Etilde^T, C = Etilde# Sigma, D = 0."""
+def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray) -> StateSpace:
+    """The realization (A, B, C) of the perturbation channel of one model,
+    or of each model of a stack of one order n:
+    A = F = -i J M - (1/2) J N^dag J N, B = J Sigma Etilde^T,
+    C = Etilde# Sigma, D = 0."""
     J = j_matrix(n_modes)
     sig = sigma_matrix(n_modes)
     F = -1j * (J @ M) - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N)
-    return F, J @ sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig
+    return StateSpace(F, J @ sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig)
 
 
 def build_F(model: SystemModel) -> np.ndarray:
     """F = -i J M - (1/2) J N^dag J N."""
-    return _realization(model.n_modes, model.M, model.N, model.Etilde)[0]
+    return _realization(model.n_modes, model.M, model.N, model.Etilde).A
 
 
 def state_space(model: SystemModel) -> StateSpace:
     """The transfer-function realization of the perturbation channel."""
-    return StateSpace(*_realization(model.n_modes, model.M, model.N, model.Etilde))
+    return _realization(model.n_modes, model.M, model.N, model.Etilde)
 
 
 def spectral_abscissa(F: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(np.asarray(F, dtype=complex)).real))
+    """The largest real part of an eigenvalue of the square matrix F."""
+    return float(_spectra(np.asarray(F, dtype=complex))[1])
 
 
 def is_hurwitz(F: np.ndarray) -> bool:
-    """The Hurwitz verdict of `StateSpace` on the square matrix F."""
-    n = np.shape(F)[0]
-    return StateSpace(A=F, B=np.zeros(n), C=np.zeros(n)).hurwitz
+    """The Hurwitz verdict of `_spectra` on the square matrix F."""
+    return bool(_spectra(np.asarray(F, dtype=complex))[3])
 
 
 def transfer_response(ss, s) -> np.ndarray:
     """G at every point of the array `s` (the frequency response when
     s = i w), from one stacked linear solve on the array of sI - A (never
     explicit inversion); a scalar s gives shape (1,).  `ss` is a
-    StateSpace, or a stack whose A, B and C broadcast against the points:
-    with A[:, None], B[:, None] and C[:, None] of k systems and a (k, m)
-    array s, each system at its own m points.  A point that is
-    (numerically) an eigenvalue of A fails the whole solve with numpy's
-    LinAlgError."""
+    StateSpace whose A, B and C broadcast against the points: one system
+    over any array s, or, with A[:, None], B[:, None] and C[:, None] of a
+    stack of k systems and a (k, m) array s, each system at its own m
+    points.  A point that is (numerically) an eigenvalue of A fails the
+    whole solve with numpy's LinAlgError."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     lhs = s[..., None, None] * np.eye(ss.A.shape[-1], dtype=complex) - ss.A
     # B at the ndim of lhs: numpy < 2 reads a b of one dimension less as a
@@ -173,7 +156,7 @@ def _unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _seed_peaks(st: _Stack, eigenvalues: np.ndarray) -> tuple[list, list]:
+def _seed_peaks(st: StateSpace, eigenvalues: np.ndarray) -> tuple[list, list]:
     """(largest |G(i w)|, its w) of each system of `st` over its seeds:
     w = 0, Im lambda(A), +-|lambda(A)|, n multiples of max |lambda(A)|
     beyond it, and the midpoint of each consecutive pair of those, from one
@@ -185,18 +168,18 @@ def _seed_peaks(st: _Stack, eigenvalues: np.ndarray) -> tuple[list, list]:
     extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
     w = np.sort(np.concatenate([np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1))
     w = np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
-    systems = _Stack(st.A[:, None], st.B[:, None], st.C[:, None])  # each over its row of w
-    gains = np.abs(transfer_response(systems, 1j * w)).reshape(w.shape)
+    systems = StateSpace(st.A[:, None], st.B[:, None], st.C[:, None])  # each over its row of w
+    gains = np.abs(transfer_response(systems, 1j * w))
     rows, best = np.arange(k), gains.argmax(axis=1)
     return gains[rows, best].tolist(), w[rows, best].tolist()
 
 
-def _imag_axis_crossings(st: _Stack, levels) -> list[np.ndarray]:
+def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     """For each system of `st`, the frequencies where some eigenvalue of its
     level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L, -A^H]],
     sits on the imaginary axis; empty iff its gain stays strictly below L.
     One eigvals call on the (k, 2n, 2n) stack."""
-    A, B, C = st
+    A, B, C = st.A, st.B, st.C
     k, n = A.shape[:2]
     level = np.asarray(levels, dtype=float)[:, None, None]
     H = np.empty((k, 2 * n, 2 * n), dtype=complex)
@@ -212,7 +195,7 @@ def _imag_axis_crossings(st: _Stack, levels) -> list[np.ndarray]:
             for e, m, hit in zip(ev, on_axis, on_axis.any(axis=1).tolist())]
 
 
-def _polish(st: _Stack, rhs: np.ndarray, rows: list, omegas: list, floor: list,
+def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: list,
             rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each system st[rows[j]]: the largest gain at its candidate
     frequencies omegas[j], moved onto the local maximum of
@@ -301,7 +284,7 @@ def _polish(st: _Stack, rhs: np.ndarray, rows: list, omegas: list, floor: list,
     return out_g, out_w, raised
 
 
-def _hinf_norms(st: _Stack, eigenvalues: np.ndarray, abscissa: np.ndarray,
+def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
                 rel_tol: float) -> list:
     """`hinf_norm` on every system of a stack of Hurwitz systems at once:
     one (norm, frequency) per system, or the RuntimeError that ends its
@@ -387,9 +370,10 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     the last.  Otherwise the largest gain at the crossings and the
     midpoints between consecutive ones is polished and becomes `lo`; a step
     where it does not exceed `lo`, or HINF_MAX_ITER steps, raise
-    RuntimeError.  Requires `ss.hurwitz`, otherwise the axis supremum is not
-    the norm; the seeds come from the spectrum `ss` holds.  This is the
-    stack of one of `_hinf_norms`, which `certify_all` runs on many.
+    RuntimeError.  `ss` is one system.  Its A must pass the Hurwitz rule of
+    `_spectra` (`is_hurwitz`), otherwise the axis supremum is not the norm
+    and ValueError is raised; the seeds come from that same spectrum.  This
+    is the stack of one of `_hinf_norms`, which `certify_all` runs on many.
 
     rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
     the level-set eigenvalue pair is nearly double, so the float eigen test
@@ -406,13 +390,14 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
             "float level-set test: near the peak its eigenvalue pair is nearly double and "
             "resolves a crossing only to about sqrt(eps) times the matrix scale"
         )
-    if not ss.hurwitz:
+    st = StateSpace(ss.A[None], ss.B[None], ss.C[None])
+    ev, abscissa, _, hurwitz = _spectra(st.A)
+    if not hurwitz[0]:
         raise ValueError("norm undefined: A is not Hurwitz")
-    st = _Stack(ss.A[None], ss.B[None], ss.C[None])
-    return _raised(_hinf_norms(st, ss.eigenvalues[None], [ss.abscissa], rel_tol)[0])
+    return _raised(_hinf_norms(st, ev, abscissa, rel_tol)[0])
 
 
-def _decided(st: _Stack, gamma_half: list, decide) -> list:
+def _decided(st: StateSpace, gamma_half: list, decide) -> list:
     """`decide(st, spectra, gamma_half)` on the stack `st`, its spectra from
     one eigvals call: one result per system.  A LinAlgError from a stacked
     LAPACK call redoes the stack one system at a time, so that only the
@@ -451,13 +436,13 @@ def _per_model(models, decide) -> list:
         if len(valid) < len(rows):
             M, N, Etilde = M[valid], N[valid], Etilde[valid]
         if valid:
-            st = _Stack(*_realization(n, M, N, Etilde))
+            st = _realization(n, M, N, Etilde)
             for j, result in zip(valid, _decided(st, [batch[j].gamma / 2.0 for j in valid], decide)):
                 out[rows[j]] = result
     return out
 
 
-def _verdicts(st: _Stack, spectra, gamma_half: list) -> list[bool]:
+def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
     """The `_decided` decision of `is_certified_all`: one verdict per system
     of `st`, from one stacked level-set test at gamma/2 over its Hurwitz
     systems."""
@@ -490,7 +475,7 @@ def is_certified(model: SystemModel) -> bool:
     return _raised(is_certified_all([model])[0])
 
 
-def _certificates(st: _Stack, spectra, gamma_half: list, margin: float = 0.0) -> list:
+def _certificates(st: StateSpace, spectra, gamma_half: list, margin: float = 0.0) -> list:
     """The `_decided` decision of `certify_all`: one StabilityCertificate
     per system of `st`, or the RuntimeError that ended its norm."""
     ev, abscissa, tol, hurwitz = spectra
@@ -531,8 +516,8 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
 
     certified iff F is Hurwitz and the H-infinity norm of the perturbation
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
-    tolerances are `StateSpace.hurwitz_tol`, `hinf_norm`'s default rel_tol
-    and `validate_model`'s fixed DEFAULT_VALIDATION_TOL; the certificate
-    records the first two.  `margin` must be finite with 0 <= margin < 1.
+    tolerances are the Hurwitz tolerance of `_spectra`, `hinf_norm`'s
+    default rel_tol and `validate_model`'s fixed DEFAULT_VALIDATION_TOL; the
+    certificate records the first two.  `margin` must be finite with 0 <= margin < 1.
     This is `certify_all` on one model."""
     return _raised(certify_all([model], margin)[0])

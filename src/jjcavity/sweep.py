@@ -19,7 +19,6 @@ from .stability import (
     _decided,
     _raised,
     _realization,
-    _Stack,
     _verdicts,
     state_space,
     transfer_eval,
@@ -101,7 +100,7 @@ def _sweep(base: _Base, couplings, decide) -> list:
     N = [r for r in rows if not isinstance(r, Exception)]
     if N:  # m is the base model: some row got past it
         Etilde = np.broadcast_to(m.Etilde, (len(N),) + m.Etilde.shape)
-        st = _Stack(*_realization(m.n_modes, m.M, np.array(N), Etilde))
+        st = _realization(m.n_modes, m.M, np.array(N), Etilde)
         decided = iter(_decided(st, [m.gamma / 2.0] * len(N), decide))
         rows = [r if isinstance(r, Exception) else next(decided) for r in rows]
     return rows
@@ -147,22 +146,23 @@ def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
     """(||G||_inf, d||G||_inf / dkappa2) of the model at one junction
     coupling value.
 
-    The norm is `certify`'s on that row of the one validated base build
-    (see `_sweep`), and the slope reuses the realization F, B, C that the
-    row's decide function receives.  The slope comes from the envelope
-    theorem at the peak frequency w*:
+    The norm is `certify`'s on the model with that kappa2 and the one
+    validated base build's M, Etilde and gamma (see `_sweep`), decided as a
+    stack of one by `_decided` with `_certificates`; the slope reuses its
+    realization F, B, C.  `find_threshold` calls this only after its audit
+    has decided rows on `base`, so the base is a validated model, and
+    kappa2 lies inside the flip interval, so its pair passes
+    `params.replace`.  The slope comes from the envelope theorem at the
+    peak frequency w*:
     d||G||_inf/dkappa2 = Re(conj(G) C R E R B) / |G| with
     R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
     stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
     calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
     is Hurwitz at every kappa2 > 0 once it is at the flip interval's
     certified end."""
-
-    def certified_rows(st, spectra, gamma_half):
-        return [(cert, st) for cert in _certificates(st, spectra, gamma_half)]
-
-    result, st = _raised(_sweep(base, [(base.params.kappa1, kappa2)], certified_rows)[0])
-    cert = _raised(result)
+    m = base.model
+    st = _realization(m.n_modes, m.M, build_coupling(base.params.kappa1, kappa2)[None], m.Etilde[None])
+    cert = _raised(_decided(st, [m.gamma / 2.0], _certificates)[0])
     F, B, C = st.A[0], st.B[0], st.C[0]
     lhs = 1j * cert.hinf_freq * np.eye(len(F)) - F
     rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
@@ -306,7 +306,7 @@ def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[Bod
         raise ValueError(f"need n_points >= 2, got {n_points}")
     ss = state_space(model)
     grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), n_points)
-    seeds = np.abs(ss.eigenvalues.imag)
+    seeds = np.abs(np.linalg.eigvals(ss.A).imag)
     seeds = seeds[(seeds >= omega_lo) & (seeds <= omega_hi)]
     omegas = np.unique(np.concatenate([grid, seeds]))
     try:

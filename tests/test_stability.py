@@ -178,12 +178,42 @@ class TestTransferResponse:
         grid = np.logspace(0.0, 15.0, 600)
         s = np.array([1j * np.concatenate([[0.0], grid, -grid, np.linalg.eigvals(ss.A).imag])
                       for ss in systems])
-        st = stability._Stack(*(np.array([getattr(ss, name) for ss in systems])[:, None]
-                                for name in ("A", "B", "C")))
+        st = StateSpace(*(np.array([getattr(ss, name) for ss in systems])[:, None]
+                          for name in ("A", "B", "C")))
         got = transfer_response(st, s)
         assert got.shape == s.shape
         for ss, row, g in zip(systems, s, got):
             assert np.array_equal(g, transfer_response(ss, row))
+
+
+class TestStateSpace:
+    """One type for one system and for a stack of systems of one order."""
+
+    def test_loose_stacked_input_normalized(self):
+        rng = np.random.default_rng(59)
+        A = rng.standard_normal((5, 3, 3))
+        B, C = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        st = StateSpace(A=A, B=B, C=C)
+        assert st.A.shape == (5, 3, 3) and st.A.dtype == complex
+        assert st.B.shape == (5, 3, 1) and np.array_equal(st.B[..., 0], B)
+        assert st.C.shape == (5, 1, 3) and np.array_equal(st.C[:, 0], C)
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros(3)],
+                             ids=["2x3", "stack-4x2x3", "vector"])
+    def test_non_square_rejected(self, A):
+        with pytest.raises(ValueError, match="A must be square"):
+            StateSpace(A=A, B=np.zeros(3), C=np.zeros(3))
+
+    def test_take(self):
+        rng = np.random.default_rng(61)
+        models = [make_random_model(rng) for _ in range(5)]
+        M, N, Et = (np.array([getattr(m, name) for m in models]) for name in ("M", "N", "Etilde"))
+        st = stability._realization(2, M, N, Et)
+        assert st.take(range(5)) is st
+        for j, m in enumerate(models):
+            ss = state_space(m)
+            s = 1j * signed_grid(ss)
+            assert np.array_equal(transfer_response(st.take([j]), s), transfer_response(ss, s))
 
 
 class TestHinfNorm:
@@ -226,7 +256,7 @@ class TestHinfNorm:
 
     def test_zero_seed_gains_of_nonzero_g_raise(self, monkeypatch):
         ss = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
-        monkeypatch.setattr(stability, "transfer_response", lambda ss, s: np.zeros(np.size(s)))
+        monkeypatch.setattr(stability, "transfer_response", lambda ss, s: np.zeros(np.shape(s)))
         with pytest.raises(RuntimeError, match="zero gain"):
             hinf_norm(ss)
 
@@ -282,7 +312,7 @@ def stall_sample():
             M.append(model.M)
             N.append(build_coupling(p.kappa1, float(k2)))
             Et.append(model.Etilde)
-    st = stability._Stack(*stability._realization(2, np.array(M), np.array(N), np.array(Et)))
+    st = stability._realization(2, np.array(M), np.array(N), np.array(Et))
     ev, abscissa, _, hurwitz = stability._spectra(st.A)
     assert hurwitz.all()
     return st, ev, abscissa
@@ -454,15 +484,21 @@ class TestIsCertified:
 
 
 class TestSpectrumOnce:
-    """One 4x4 eigen-decomposition of F per model and verdict; the 8x8
-    level-set matrices are the norm search's business and not counted."""
+    """One 4x4 eigen-decomposition of F per model and verdict, none to build
+    its realization; the 8x8 level-set matrices are the norm search's
+    business and not counted."""
 
-    @pytest.mark.parametrize("call", [
-        certify,
-        is_certified,
-        lambda m: jc.bode_csv(m, 1e9, 1e13, 50),
-    ], ids=["certify", "is_certified", "bode_csv"])
-    def test_one_eigvals_of_F(self, paper_model, monkeypatch, call):
+    @pytest.mark.parametrize("call, count", [
+        (certify, 1),
+        (is_certified, 1),
+        (lambda m: jc.bode_csv(m, 1e9, 1e13, 50), 1),
+        (state_space, 0),
+        (lambda m: hinf_norm(state_space(m)), 1),
+        (lambda m: is_hurwitz(build_F(m)), 1),
+        (lambda m: spectral_abscissa(build_F(m)), 1),
+    ], ids=["certify", "is_certified", "bode_csv", "state_space", "hinf_norm", "is_hurwitz",
+            "spectral_abscissa"])
+    def test_one_eigvals_of_F(self, paper_model, monkeypatch, call, count):
         eigvals, shapes = np.linalg.eigvals, []
 
         def counting(a):
@@ -471,17 +507,24 @@ class TestSpectrumOnce:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         call(paper_model)
-        assert shapes.count((4, 4)) == 1
+        assert shapes.count((4, 4)) == count
 
-    def test_state_space_holds_spectrum(self, paper_model):
-        ss = state_space(paper_model)
-        F = build_F(paper_model)
-        assert np.array_equal(ss.eigenvalues, np.linalg.eigvals(F))
-        assert ss.abscissa == spectral_abscissa(F)
-        assert ss.hurwitz is True and is_hurwitz(F)
-        cert = certify(paper_model)
-        assert cert.eigenvalues_F == tuple(complex(z) for z in ss.eigenvalues)
-        assert cert.hurwitz_tol == ss.hurwitz_tol
+    def test_certificate_reads_the_one_spectrum_rule(self, paper_model):
+        # the certificate's spectrum fields are, bit for bit, what the public
+        # functions and `_spectra` give on F alone
+        checked = 0
+        for m in batch_models(paper_model):
+            try:
+                cert = certify(m)
+            except ValueError:  # the invalid model
+                continue
+            F = build_F(m)
+            assert cert.eigenvalues_F == tuple(np.linalg.eigvals(F).tolist())
+            assert cert.spectral_abscissa == spectral_abscissa(F)
+            assert cert.hurwitz is is_hurwitz(F)
+            assert cert.hurwitz_tol == stability._spectra(F)[2]
+            checked += 1
+        assert checked == 16
 
 
 def batch_models(paper_model):
