@@ -17,10 +17,8 @@ from .stability import (
     StateSpace,
     build_F,
     certify,
-    certify_all,
     hinf_norm,
     is_certified,
-    is_certified_all,
     is_hurwitz,
     spectral_abscissa,
     state_space,
@@ -56,9 +54,7 @@ __all__ = [
     "transfer_eval",
     "hinf_norm",
     "certify",
-    "certify_all",
     "is_certified",
-    "is_certified_all",
     "GridSpec",
     "SectorReport",
     "verify_sector",

@@ -129,91 +129,39 @@ def _decode_complex(name: str, rows) -> np.ndarray:
     return np.array([_decode_pairs(f"{name}[{i}]", row) for i, row in enumerate(rows)], dtype=complex)
 
 
-def _report_worst(size: np.ndarray, tol_abs: np.ndarray, message: str, out: list[list[str]],
+def _report_worst(size: np.ndarray, tol_abs: float, message: str, out: list[str],
                   row0: int = 0, **labels) -> None:
-    """For each matrix of the (k, r, c) stack `size` of magnitudes, append
-    `message` to its list in `out` for its largest entry if that exceeds its
-    tol_abs.  The message's {i}, {j} and {v} become the entry's row (offset
-    by row0), column and size; `labels` fill the other fields."""
-    over = size.max(axis=(1, 2)) > tol_abs
-    if not over.any():
-        return
-    for m in np.flatnonzero(over):
-        i, j = np.unravel_index(int(size[m].argmax()), size.shape[1:])
-        out[m].append(message.format(i=row0 + i, j=j, v=size[m, i, j], **labels))
+    """Append `message` to `out` for the largest entry of the matrix `size`
+    of magnitudes if that exceeds tol_abs.  The message's {i}, {j} and {v}
+    become the entry's row (offset by row0), column and size; `labels` fill
+    the other fields."""
+    i, j = divmod(int(size.argmax()), size.shape[1])
+    if size[i, j] > tol_abs:
+        out.append(message.format(i=row0 + i, j=j, v=size[i, j], **labels))
 
 
-def _finite(name: str, A: np.ndarray, out: list[list[str]]) -> np.ndarray:
-    """The (k, r, c) stack A, each matrix that holds a non-finite entry
-    reported at its first such entry (row-major) and replaced by zeros,
-    which pass every structure check."""
+def _finite(name: str, A: np.ndarray, out: list[str]) -> np.ndarray:
+    """A, or, when it holds a non-finite entry, zeros (which pass every
+    structure check) with that entry reported at its first (row-major)."""
     ok = np.isfinite(A)
     if ok.all():
         return A
-    bad = np.flatnonzero(~ok.all(axis=(1, 2)))
-    for m in bad:
-        i, j = np.unravel_index(int(ok[m].argmin()), A.shape[1:])
-        out[m].append(f"{name} has a non-finite entry at ({i},{j})")
-    A = A.copy()
-    A[bad] = 0.0
-    return A
+    i, j = np.unravel_index(int(ok.argmin()), A.shape)
+    out.append(f"{name} has a non-finite entry at ({i},{j})")
+    return np.zeros_like(A)
 
 
-def _block_violations(name: str, A: np.ndarray, n: int, tol_abs: np.ndarray,
-                      out: list[list[str]]) -> None:
-    """Check the [[A1, A2], [A2#, A1#]] structure of each 2n x 2n matrix of
-    the stack A."""
+def _block_violations(name: str, A: np.ndarray, n: int, tol_abs: float, out: list[str]) -> None:
+    """Check the [[A1, A2], [A2#, A1#]] structure of the 2n x 2n matrix A."""
     swap = np.arange(-n, n)   # columns n..2n-1, then 0..n-1
-    lower = np.abs(A[:, n:, :] - A[:, :n, swap].conj())
+    lower = np.abs(A[n:, :] - A[:n, swap].conj())
     _report_worst(lower, tol_abs,
                   "{name} block-conjugate symmetry: lower row entry ({i},{j}) "
                   "differs from conjugated upper row by {v:.3e}", out, row0=n, name=name)
     # |A1 - conj(A4)| equals |A4 - conj(A1)|, the right half of `lower`,
     # entry for entry and bit for bit
-    _report_worst(lower[:, :, n:], tol_abs,
+    _report_worst(lower[:, n:], tol_abs,
                   "{name}1 vs {name}1# block mismatch at ({i},{j}): {v:.3e}", out, name=name)
-
-
-def _violations(M: np.ndarray, N: np.ndarray, Etilde: np.ndarray, constants) -> list[list[str]]:
-    """The structural violations of each of k models of one order n, from
-    one pass over their stacked arrays: M and N (k, 2n, 2n), Etilde
-    (k, 1, 2n), and `constants`, one (gamma, delta1, delta2) per model.
-
-    The tolerance is DEFAULT_VALIDATION_TOL relative to the max-abs entry of
-    the model's matrix being checked.  A matrix with a non-finite entry is
-    reported at the first one, and its structure is not checked."""
-    n = M.shape[-1] // 2
-    out: list[list[str]] = [[] for _ in range(len(M))]
-    tol = DEFAULT_VALIDATION_TOL
-
-    M = _finite("M", M, out)
-    tol_m = tol * np.maximum(1e-300, np.abs(M).max(axis=(1, 2)))
-    hermitian = np.abs(M - M.conj().swapaxes(1, 2))
-    _report_worst(hermitian, tol_m, "M Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
-    # M1 - M1^H is the upper-left block of M - M^H
-    _report_worst(hermitian[:, :n, :n], tol_m,
-                  "M1 Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
-    M2 = M[:, :n, n:]
-    _report_worst(np.abs(M2 - M2.swapaxes(1, 2)), tol_m,
-                  "M2 transpose-symmetry violated at ({i},{j}): {v:.3e}", out)
-    _block_violations("M", M, n, tol_m, out)
-
-    N = _finite("N", N, out)
-    tol_n = tol * np.maximum(1e-300, np.abs(N).max(axis=(1, 2)))
-    _block_violations("N", N, n, tol_n, out)
-    _finite("Etilde", Etilde, out)
-
-    for found, (gamma, delta1, delta2) in zip(out, constants):
-        if not gamma > 0:
-            found.append(f"gamma must be positive, got {gamma}")
-        elif not math.isfinite(gamma):
-            found.append(f"gamma must be finite, got {gamma}")
-        for name, delta in (("delta1", delta1), ("delta2", delta2)):
-            if not math.isfinite(delta):
-                found.append(f"{name} must be finite, got {delta}")
-            elif delta < 0:
-                found.append(f"{name} must be nonnegative, got {delta}")
-    return out
 
 
 def _invalid(violations: list[str]) -> ValueError:
@@ -223,9 +171,38 @@ def _invalid(violations: list[str]) -> ValueError:
 
 
 def validate_model(model: SystemModel) -> list[str]:
-    """Return the list of structural violations (empty iff the model is valid):
-    `_violations` on the stack of one.  Dimension mismatches and constants
-    that are not real numbers are raised at construction time, not reported
-    here."""
-    constants = [(model.gamma, model.delta1, model.delta2)]
-    return _violations(model.M[None], model.N[None], model.Etilde[None], constants)[0]
+    """Return the list of structural violations (empty iff the model is valid).
+
+    The tolerance is DEFAULT_VALIDATION_TOL relative to the max-abs entry of
+    the matrix being checked.  A matrix with a non-finite entry is reported
+    at the first one, and its structure is not checked.  Dimension
+    mismatches and constants that are not real numbers are raised at
+    construction time, not reported here."""
+    n = model.n_modes
+    out: list[str] = []
+    tol = DEFAULT_VALIDATION_TOL
+
+    M = _finite("M", model.M, out)
+    tol_m = tol * max(1e-300, np.abs(M).max())
+    hermitian = np.abs(M - M.conj().T)
+    _report_worst(hermitian, tol_m, "M Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
+    # M1 - M1^H is the upper-left block of M - M^H
+    _report_worst(hermitian[:n, :n], tol_m, "M1 Hermitian symmetry violated at ({i},{j}): {v:.3e}", out)
+    M2 = M[:n, n:]
+    _report_worst(np.abs(M2 - M2.T), tol_m, "M2 transpose-symmetry violated at ({i},{j}): {v:.3e}", out)
+    _block_violations("M", M, n, tol_m, out)
+
+    N = _finite("N", model.N, out)
+    _block_violations("N", N, n, tol * max(1e-300, np.abs(N).max()), out)
+    _finite("Etilde", model.Etilde, out)
+
+    if not model.gamma > 0:
+        out.append(f"gamma must be positive, got {model.gamma}")
+    elif not math.isfinite(model.gamma):
+        out.append(f"gamma must be finite, got {model.gamma}")
+    for name, delta in (("delta1", model.delta1), ("delta2", model.delta2)):
+        if not math.isfinite(delta):
+            out.append(f"{name} must be finite, got {delta}")
+        elif delta < 0:
+            out.append(f"{name} must be nonnegative, got {delta}")
+    return out

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .model import SystemModel, _encode_complex, _invalid, _violations, j_matrix, sigma_matrix
+from .model import SystemModel, _encode_complex, _invalid, j_matrix, sigma_matrix, validate_model
 
 HINF_DEFAULT_REL_TOL = 1e-6
 #: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
@@ -109,14 +110,23 @@ def state_space(model: SystemModel) -> StateSpace:
     return _realization(model.n_modes, model.M, model.N, model.Etilde)
 
 
+def _one_matrix(A, caller: str) -> np.ndarray:
+    """A as a complex array, or a ValueError naming its shape when it is not
+    one square matrix (a stack goes to the stacked core, not here)."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{caller} takes one system: need one n x n matrix, got shape {A.shape}")
+    return A
+
+
 def spectral_abscissa(F: np.ndarray) -> float:
     """The largest real part of an eigenvalue of the square matrix F."""
-    return float(_spectra(np.asarray(F, dtype=complex))[1])
+    return float(_spectra(_one_matrix(F, "spectral_abscissa"))[1])
 
 
 def is_hurwitz(F: np.ndarray) -> bool:
     """The Hurwitz verdict of `_spectra` on the square matrix F."""
-    return bool(_spectra(np.asarray(F, dtype=complex))[3])
+    return bool(_spectra(_one_matrix(F, "is_hurwitz"))[3])
 
 
 def transfer_response(ss, s) -> np.ndarray:
@@ -137,7 +147,9 @@ def transfer_response(ss, s) -> np.ndarray:
 
 
 def transfer_eval(ss: StateSpace, s: complex) -> complex:
-    """G(s) at one point: the one-point case of `transfer_response`."""
+    """G(s) at one point of one system: the one-point case of
+    `transfer_response`."""
+    _one_matrix(ss.A, "transfer_eval")
     try:
         return complex(transfer_response(ss, s)[0])
     except np.linalg.LinAlgError as exc:
@@ -286,9 +298,10 @@ def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: li
 
 def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
                 rel_tol: float) -> list:
-    """`hinf_norm` on every system of a stack of Hurwitz systems at once:
-    one (norm, frequency) per system, or the RuntimeError that ends its
-    iteration.  Each step polishes the candidate peak of every system still
+    """`hinf_norm` on every system of a stack of Hurwitz systems at once
+    (`_certificates` runs it for `certify`, a stack of one, and for the
+    sweeps): one (norm, frequency) per system, or the RuntimeError that ends
+    its iteration.  Each step polishes the candidate peak of every system still
     crossing (`_polish`), then runs one stacked level-set test over them."""
     k, n = eigenvalues.shape
     lo, freq = _seed_peaks(st, eigenvalues)
@@ -370,10 +383,11 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     the last.  Otherwise the largest gain at the crossings and the
     midpoints between consecutive ones is polished and becomes `lo`; a step
     where it does not exceed `lo`, or HINF_MAX_ITER steps, raise
-    RuntimeError.  `ss` is one system.  Its A must pass the Hurwitz rule of
-    `_spectra` (`is_hurwitz`), otherwise the axis supremum is not the norm
-    and ValueError is raised; the seeds come from that same spectrum.  This
-    is the stack of one of `_hinf_norms`, which `certify_all` runs on many.
+    RuntimeError.  `ss` is one system; a stack raises ValueError.  Its A
+    must pass the Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the
+    axis supremum is not the norm and ValueError is raised; the seeds come
+    from that same spectrum.  This is the stack of one of `_hinf_norms`,
+    which `certify` and the sweeps run on their stacks.
 
     rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
     the level-set eigenvalue pair is nearly double, so the float eigen test
@@ -390,7 +404,7 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
             "float level-set test: near the peak its eigenvalue pair is nearly double and "
             "resolves a crossing only to about sqrt(eps) times the matrix scale"
         )
-    st = StateSpace(ss.A[None], ss.B[None], ss.C[None])
+    st = StateSpace(_one_matrix(ss.A, "hinf_norm")[None], ss.B[None], ss.C[None])
     ev, abscissa, _, hurwitz = _spectra(st.A)
     if not hurwitz[0]:
         raise ValueError("norm undefined: A is not Hurwitz")
@@ -410,41 +424,18 @@ def _decided(st: StateSpace, gamma_half: list, decide) -> list:
         return [_decided(st.take([j]), gamma_half[j:j + 1], decide)[0] for j in range(len(gamma_half))]
 
 
-def _per_model(models, decide) -> list:
-    """One result per model, in order: the ValueError that its structural
-    violations raise, or what `_decided` with `decide` gives for it.
-
-    The models of one order n are stacked once: M, N and Etilde are
-    validated in one pass (`model._violations`), and the valid slice of the
-    same arrays gives the realization that decide runs on.  This serves
-    independent models; a sweep, whose rows differ only in N, builds its
-    stack from one validated base instead (`sweep._sweep`)."""
-    out: list = [None] * len(models)
-    orders: dict = {}
-    for i, model in enumerate(models):
-        orders.setdefault(model.n_modes, []).append(i)
-    for n, rows in orders.items():
-        batch = [models[i] for i in rows]
-        M, N, Etilde = (np.array([getattr(m, name) for m in batch]) for name in ("M", "N", "Etilde"))
-        found = _violations(M, N, Etilde, [(m.gamma, m.delta1, m.delta2) for m in batch])
-        valid = []
-        for j, (i, violations) in enumerate(zip(rows, found)):
-            if violations:
-                out[i] = _invalid(violations)
-            else:
-                valid.append(j)
-        if len(valid) < len(rows):
-            M, N, Etilde = M[valid], N[valid], Etilde[valid]
-        if valid:
-            st = _realization(n, M, N, Etilde)
-            for j, result in zip(valid, _decided(st, [batch[j].gamma / 2.0 for j in valid], decide)):
-                out[rows[j]] = result
-    return out
+def _stack_of_one(model: SystemModel) -> StateSpace:
+    """The realization of `model` as a stack of one system, for
+    `_decided`; a model with structural violations raises their error."""
+    violations = validate_model(model)
+    if violations:
+        raise _invalid(violations)
+    return _realization(model.n_modes, model.M[None], model.N[None], model.Etilde[None])
 
 
 def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
-    """The `_decided` decision of `is_certified_all`: one verdict per system
-    of `st`, from one stacked level-set test at gamma/2 over its Hurwitz
+    """The `_decided` decision of `is_certified`: one verdict per system of
+    `st`, from one stacked level-set test at gamma/2 over its Hurwitz
     systems."""
     rows = np.flatnonzero(spectra[3])  # the Hurwitz systems
     verdicts = [False] * len(gamma_half)
@@ -453,13 +444,6 @@ def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
         for i, c in zip(rows.tolist(), crossings):
             verdicts[i] = c.size == 0
     return verdicts
-
-
-def is_certified_all(models) -> list:
-    """`is_certified` on every model at once: one verdict per model, in
-    order, or the exception `is_certified` raises for it.  One stacked
-    spectrum and one stacked level-set test at gamma/2 per order n."""
-    return _per_model(models, _verdicts)
 
 
 def is_certified(model: SystemModel) -> bool:
@@ -472,12 +456,12 @@ def is_certified(model: SystemModel) -> bool:
     norm lies within `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then
     refuses, because its upper bound is not below gamma/2, while this test
     decides at gamma/2 itself."""
-    return _raised(is_certified_all([model])[0])
+    return _raised(_decided(_stack_of_one(model), [model.gamma / 2.0], _verdicts)[0])
 
 
 def _certificates(st: StateSpace, spectra, gamma_half: list, margin: float = 0.0) -> list:
-    """The `_decided` decision of `certify_all`: one StabilityCertificate
-    per system of `st`, or the RuntimeError that ended its norm."""
+    """The `_decided` decision of `certify`: one StabilityCertificate per
+    system of `st`, or the RuntimeError that ended its norm."""
     ev, abscissa, tol, hurwitz = spectra
     rows = np.flatnonzero(hurwitz)
     norms = [(math.nan, math.nan)] * len(gamma_half)
@@ -501,16 +485,6 @@ def _certificates(st: StateSpace, spectra, gamma_half: list, margin: float = 0.0
     return out
 
 
-def certify_all(models, margin: float = 0.0) -> list:
-    """`certify` on every model at once: one StabilityCertificate per model,
-    in order, or the exception `certify` raises for it.  The spectra, each
-    level-set test and each gain solve are one stacked call across the
-    models, and the results are bit for bit those of `certify`."""
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
-    return _per_model(models, lambda st, spectra, gamma_half: _certificates(st, spectra, gamma_half, margin))
-
-
 def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     """Evaluate the strict bounded-real conditions and issue the verdict.
 
@@ -518,6 +492,8 @@ def certify(model: SystemModel, margin: float = 0.0) -> StabilityCertificate:
     channel is strictly below gamma/2 (optionally shrunk by `margin`).  The
     tolerances are the Hurwitz tolerance of `_spectra`, `hinf_norm`'s
     default rel_tol and `validate_model`'s fixed DEFAULT_VALIDATION_TOL; the
-    certificate records the first two.  `margin` must be finite with 0 <= margin < 1.
-    This is `certify_all` on one model."""
-    return _raised(certify_all([model], margin)[0])
+    certificate records the first two.  `margin` must be finite with 0 <= margin < 1."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be finite with 0 <= margin < 1, got {margin}")
+    decide = partial(_certificates, margin=margin)
+    return _raised(_decided(_stack_of_one(model), [model.gamma / 2.0], decide)[0])

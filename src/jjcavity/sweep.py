@@ -201,8 +201,8 @@ def find_threshold(
     from the norm's upper bound, which lies up to about 2e-7 above the peak
     and so biases kappa2* by about as much, and the lower verification
     point kappa2*(1 - rel_tol/2) must stay positive."""
-    if not (0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"need finite 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if rel_tol < HINF_DEFAULT_REL_TOL:

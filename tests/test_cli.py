@@ -185,6 +185,13 @@ class TestThreshold:
         assert captured.out == ""
         assert captured.err.startswith("error: rel_tol") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("lo, hi", [("1e11", "inf"), ("nan", "1e13")])
+    def test_non_finite_bracket_exit_one(self, capsys, lo, hi):
+        assert main(["threshold", *PARAM_FLAGS, "--lo", lo, "--hi", hi]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need finite 0 < lo < hi") and captured.err.count("\n") == 1
+
 
 class TestBode:
     def test_csv_rows(self, model_file, capsys):

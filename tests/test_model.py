@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jjcavity as jc
-from jjcavity.model import _violations, j_matrix, sigma_matrix, validate_model
+from jjcavity.model import j_matrix, sigma_matrix, validate_model
 
 
 class TestJSigma:
@@ -100,18 +100,21 @@ class TestValidateModel:
             with pytest.raises(ValueError, match=f"{field} must be a number, got {value!r}"):
                 dataclasses.replace(paper_model, **{field: value})
 
-    def test_stack_gives_each_model_its_own_messages(self, paper_model):
+    def test_every_violation_of_a_model_reported_in_order(self, paper_model):
+        # matrix checks first (M, then N, then Etilde), then the constants;
+        # a non-finite matrix is named once and its structure not checked
         M = paper_model.M.copy()
         M[0, 3] += 0.1 * np.max(np.abs(M))
         Mnan = paper_model.M.copy()
         Mnan[1, 2] = np.nan
-        models = [paper_model, dataclasses.replace(paper_model, M=M, delta1=-1.0),
-                  dataclasses.replace(paper_model, M=Mnan), dataclasses.replace(paper_model, gamma=0.0)]
-        stacked = _violations(*(np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde")),
-                              [(m.gamma, m.delta1, m.delta2) for m in models])
-        assert stacked == [validate_model(m) for m in models]
-        assert stacked[0] == [] and all(stacked[1:])
-        assert stacked[2] == ["M has a non-finite entry at (1,2)"]
+        assert validate_model(dataclasses.replace(paper_model, M=M, delta1=-1.0)) == [
+            "M Hermitian symmetry violated at (0,3): 1.054e+11",
+            "M2 transpose-symmetry violated at (0,1): 1.054e+11",
+            "M block-conjugate symmetry: lower row entry (2,1) differs from conjugated upper row by 1.054e+11",
+            "delta1 must be nonnegative, got -1.0",
+        ]
+        assert validate_model(dataclasses.replace(paper_model, M=Mnan, gamma=0.0)) == [
+            "M has a non-finite entry at (1,2)", "gamma must be positive, got 0.0"]
 
 
 class TestPhysicalParams:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,26 @@ class TestStateSpace:
             ss = state_space(m)
             s = 1j * signed_grid(ss)
             assert np.array_equal(transfer_response(st.take([j]), s), transfer_response(ss, s))
+
+    @pytest.mark.parametrize("call", [
+        lambda st: transfer_eval(st, 1j),
+        hinf_norm,
+        lambda st: is_hurwitz(st.A),
+        lambda st: spectral_abscissa(st.A),
+    ], ids=["transfer_eval", "hinf_norm", "is_hurwitz", "spectral_abscissa"])
+    def test_one_system_functions_reject_a_stack(self, call):
+        # a stack of 3 Hurwitz systems: each call names the shape it got
+        # instead of answering for the first system or failing inside numpy
+        st = StateSpace(A=-np.eye(2) * np.array([1.0, 2.0, 3.0])[:, None, None],
+                        B=np.ones((3, 2)), C=np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"takes one system.*got shape \(3, 2, 2\)"):
+            call(st)
+
+    def test_one_system_functions_reject_a_non_square_matrix(self):
+        for F in (np.zeros((2, 3)), np.zeros(3)):
+            for call in (is_hurwitz, spectral_abscissa):
+                with pytest.raises(ValueError, match=rf"got shape {re.escape(str(F.shape))}"):
+                    call(F)
 
 
 class TestHinfNorm:
@@ -553,36 +575,48 @@ def outcome(call, *args):
     return result.to_json() if hasattr(result, "to_json") else repr(result)
 
 
+def valid_order_two(paper_model):
+    """The models of `batch_models` that one stack can hold: valid, of
+    order 2.  The unstable model is at 3, the paper model at 4 and the
+    G == 0 model at 5."""
+    return [m for m in batch_models(paper_model) if m.n_modes == 2 and not jc.validate_model(m)]
+
+
+def stacked(models, decide):
+    """The outcome of each model of `models`, all of one order, from one
+    `_decided` call with `decide` on their realizations as one stack."""
+    M, N, Etilde = (np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde"))
+    st = stability._realization(models[0].n_modes, M, N, Etilde)
+    found = stability._decided(st, [m.gamma / 2.0 for m in models], decide)
+    return [outcome(stability._raised, r) for r in found]
+
+
 class TestBatch:
-    """A model's result is bit for bit the same alone and inside a batch."""
+    """A model's result is bit for bit the same alone and inside a stack
+    decided by `stability._decided`, the core that `certify`,
+    `is_certified` and the sweeps share."""
 
-    def test_certify_all_matches_certify(self, paper_model):
-        models = batch_models(paper_model)
+    def test_decided_certificates_match_certify(self, paper_model):
+        models = valid_order_two(paper_model)
         alone = [outcome(certify, m) for m in models]
-        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
-        assert got == alone
-        got = [outcome(stability._raised, r) for r in jc.certify_all(models[::-1])]
-        assert got == alone[::-1]
+        assert stacked(models, stability._certificates) == alone
+        assert stacked(models[::-1], stability._certificates) == alone[::-1]
         assert '"hurwitz": false' in alone[3]
-        assert "validation" in alone[6]
         assert json.loads(alone[5])["hinf_norm"] == 0.0
+        with_margin = [outcome(certify, m, 0.3) for m in models]
+        assert stacked(models, functools.partial(stability._certificates, margin=0.3)) == with_margin
+        assert with_margin[4] != alone[4]  # the paper point sits about 18% under gamma/2
 
-    def test_is_certified_all_matches_is_certified(self, paper_model):
-        models = batch_models(paper_model)
+    def test_decided_verdicts_match_is_certified(self, paper_model):
+        models = valid_order_two(paper_model)
         alone = [outcome(is_certified, m) for m in models]
-        got = [outcome(stability._raised, r) for r in jc.is_certified_all(models)]
-        assert got == alone
+        assert stacked(models, stability._verdicts) == alone
         assert "True" in alone and "False" in alone
-
-    def test_bad_margin_and_empty_batch(self, paper_model):
-        with pytest.raises(ValueError, match="margin"):
-            jc.certify_all([paper_model], margin=1.0)
-        assert jc.certify_all([]) == []
 
     def test_stall_stays_in_its_row(self, paper_model, monkeypatch):
         # a crossing at w = 0, a seed already, cannot raise lo: only the
         # model with that A stalls
-        models = batch_models(paper_model)
+        models = valid_order_two(paper_model)
         want = [outcome(certify, m) for m in models]
         target = build_F(models[0])
         crossings = stability._imag_axis_crossings
@@ -592,13 +626,13 @@ class TestBatch:
             return [np.array([0.0]) if h else c for h, c in zip(hit, crossings(st, levels))]
 
         monkeypatch.setattr(stability, "_imag_axis_crossings", forced)
-        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        got = stacked(models, stability._certificates)
         assert got[0].startswith("RuntimeError: H-infinity iteration failed")
         assert got[1:] == want[1:]
 
     @pytest.mark.parametrize("size", [4, 8], ids=["spectrum", "level-set"])
     def test_linalg_error_falls_back_to_each_model_alone(self, paper_model, monkeypatch, size):
-        models = batch_models(paper_model)
+        models = valid_order_two(paper_model)
         want = [outcome(certify, m) for m in models]
         target = build_F(models[1])
         eigvals = np.linalg.eigvals
@@ -609,7 +643,7 @@ class TestBatch:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", failing)
-        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
+        got = stacked(models, stability._certificates)
         assert got[1] == "LinAlgError: forced failure"
         assert got[:1] + got[2:] == want[:1] + want[2:]
         with pytest.raises(np.linalg.LinAlgError, match="forced"):
@@ -617,19 +651,16 @@ class TestBatch:
 
 
 class TestNonFiniteModel:
-    """A model with a NaN entry fails validation by name, alone or in a
-    batch, and never reaches LAPACK."""
+    """A model with a NaN entry or a broken symmetry fails validation by
+    name, and never reaches LAPACK."""
 
-    def test_certify_all_mixed_batch(self, paper_model, monkeypatch):
+    def test_invalid_models_never_reach_lapack(self, paper_model, monkeypatch):
         M = paper_model.M.copy()
         M[0, 3] += 0.1 * np.max(np.abs(M))
         asymmetric = dataclasses.replace(paper_model, M=M)
         M = paper_model.M.copy()
         M[0, 0] = np.nan
         nan_model = dataclasses.replace(paper_model, M=M)
-        draw = build_model(random_params(np.random.default_rng(11)))
-        models = [paper_model, asymmetric, nan_model, draw]
-        alone = [outcome(certify, m) for m in models]
 
         eigvals, shapes = np.linalg.eigvals, []
 
@@ -638,10 +669,8 @@ class TestNonFiniteModel:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        got = [outcome(stability._raised, r) for r in jc.certify_all(models)]
-        assert got == alone
-        assert [s for s in shapes if s[-1] == 4] == [(2, 4, 4)]
-        assert "M2 transpose-symmetry" in alone[1]
-        assert alone[2] == ("ValueError: model fails structural validation: "
-                            "M has a non-finite entry at (0,0)")
-        assert outcome(is_certified, nan_model) == alone[2]
+        got = [outcome(call, m) for m in (asymmetric, nan_model) for call in (certify, is_certified)]
+        assert shapes == []
+        assert got[0] == got[1] and "M2 transpose-symmetry" in got[0]
+        assert got[2:] == ["ValueError: model fails structural validation: "
+                           "M has a non-finite entry at (0,0)"] * 2

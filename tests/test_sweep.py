@@ -76,8 +76,9 @@ class TestFindThreshold:
             find_threshold(paper_params, 1e11, 1e12)
 
     def test_bad_endpoints(self, paper_params):
-        with pytest.raises(ValueError, match="lo"):
-            find_threshold(paper_params, 2e12, 1e12)
+        for lo, hi in ((2e12, 1e12), (1e11, math.inf), (math.nan, 1e13)):
+            with pytest.raises(ValueError, match="need finite 0 < lo < hi"):
+                find_threshold(paper_params, lo, hi)
         for rel_tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="rel_tol"):
                 find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
@@ -390,23 +391,40 @@ class TestStackedSweep:
         assert got[:4] + got[5:] == want[:4] + want[5:]
 
     def test_linalg_error_only_in_the_singular_row(self, paper_params, monkeypatch):
+        # a LinAlgError in the gain solve, in the 4x4 spectrum of F or in
+        # the 8x8 level-set eigvals falls back to each row alone
         want = sweep_kappa2(paper_params, self.GRID)
         target = build_F(build_model(paper_params.replace(kappa2=self.GRID[7])))
-        solve = np.linalg.solve
+        solve, eigvals = np.linalg.solve, np.linalg.eigvals
 
-        def failing(a, b):
+        def failing_solve(a, b):
             # a stacks s I - F; F_11 - F_00 = (kappa1 - kappa2)/2 + i(...) tells the rows apart
             if any(np.isclose(x[0, 0] - x[1, 1], target[1, 1] - target[0, 0], rtol=1e-6)
                    for x in np.reshape(a, (-1, 4, 4))):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", failing)
-        got = sweep_kappa2(paper_params, self.GRID)
-        assert got[7].error == "Singular matrix"
-        assert got[:7] + got[8:] == want[:7] + want[8:]
-        with pytest.raises(np.linalg.LinAlgError):
-            kappa1_sensitivity(paper_params, [1e11], kappa2_fixed=self.GRID[7])
+        def failing_eigvals(size):
+            def failing(a):
+                # F is the upper-left block of its level-set matrix
+                if np.shape(a)[-1] == size and any(np.array_equal(x[:4, :4], target)
+                                                   for x in np.reshape(a, (-1, size, size))):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return eigvals(a)
+            return failing
+
+        for name, failing, message in (
+            ("solve", failing_solve, "Singular matrix"),
+            ("eigvals", failing_eigvals(4), "Eigenvalues did not converge"),
+            ("eigvals", failing_eigvals(8), "Eigenvalues did not converge"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, name, failing)
+                got = sweep_kappa2(paper_params, self.GRID)
+                assert got[7].error == message
+                assert got[:7] + got[8:] == want[:7] + want[8:]
+                with pytest.raises(np.linalg.LinAlgError):
+                    kappa1_sensitivity(paper_params, [1e11], kappa2_fixed=self.GRID[7])
 
     def test_kappa1_sensitivity_raises_first_bad_row(self, paper_params):
         with pytest.raises(ValueError, match="coupling rates"):
@@ -515,25 +533,26 @@ class TestBuildCount:
         lambda p: find_threshold(p, 1e11, 1e13),
     ], ids=["sweep_kappa2", "kappa1_sensitivity", "find_threshold"])
     def test_one_model_and_one_validation_per_call(self, paper_params, monkeypatch, run):
-        # every SystemModel constructed, and the number of models each
-        # validation pass checks, whichever module runs it
+        # every SystemModel constructed, and every validate_model call,
+        # through whichever module binds the name
         built, validated = [], []
-        post_init, violations = jmodel.SystemModel.__post_init__, jmodel._violations
+        post_init, validate = jmodel.SystemModel.__post_init__, jmodel.validate_model
 
         def counted_init(self):
             built.append(self)
             post_init(self)
 
-        def counted_violations(M, *args):
-            validated.append(len(M))
-            return violations(M, *args)
+        def counted_validate(model):
+            validated.append(model)
+            return validate(model)
 
         monkeypatch.setattr(jmodel.SystemModel, "__post_init__", counted_init)
-        for module in (jmodel, stability):
-            monkeypatch.setattr(module, "_violations", counted_violations)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "jjcavity" and vars(module).get("validate_model") is validate:
+                monkeypatch.setattr(module, "validate_model", counted_validate)
         run(paper_params)
         assert len(built) == 1
-        assert validated == [1]
+        assert validated == built
 
 
 class TestInvalidBase:
