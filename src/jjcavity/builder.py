@@ -96,12 +96,18 @@ def ladder_transform(form: QuadraticForm, params: PhysicalParams) -> np.ndarray:
     return M
 
 
-def build_coupling(kappa1: float, kappa2: float) -> np.ndarray:
-    """Coupling matrix N with N1 = diag(sqrt(kappa1), sqrt(kappa2)), N2 = 0."""
-    if kappa1 < 0 or kappa2 < 0:
+def build_coupling(kappa1, kappa2) -> np.ndarray:
+    """Coupling matrix N with N1 = diag(sqrt(kappa1), sqrt(kappa2)), N2 = 0.
+    Array rates broadcast against each other: N is then (..., 4, 4), one
+    matrix per pair of rates."""
+    k1, k2 = np.asarray(kappa1, dtype=float), np.asarray(kappa2, dtype=float)
+    if (k1 < 0).any() or (k2 < 0).any():
         raise ValueError(f"coupling rates must be nonnegative, got {kappa1}, {kappa2}")
-    r = np.sqrt([kappa1, kappa2, kappa1, kappa2])
-    return np.diag(r).astype(complex)
+    # each N flattened row-major: entries 0, 10 are (0,0), (2,2); 5, 15 are (1,1), (3,3)
+    N = np.zeros(np.broadcast(k1, k2).shape + (16,), dtype=complex)
+    N[..., 0::10] = np.sqrt(k1)[..., None]
+    N[..., 5::10] = np.sqrt(k2)[..., None]
+    return N.reshape(N.shape[:-1] + (4, 4))
 
 
 def build_zeta() -> np.ndarray:

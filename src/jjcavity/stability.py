@@ -435,13 +435,28 @@ def _stack_of_one(model: SystemModel) -> StateSpace:
 
 def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
     """The `_decided` decision of `is_certified`: one verdict per system of
-    `st`, from one stacked level-set test at gamma/2 over its Hurwitz
-    systems."""
-    rows = np.flatnonzero(spectra[3])  # the Hurwitz systems
+    `st`.  A system that is not Hurwitz is refused.  So is a Hurwitz system
+    whose gain reaches gamma/2 at one of the frequencies Im lambda(F) of
+    its own spectrum, measured for all of them in one stacked solve: a
+    measured gain is a lower bound on the norm, and those frequencies are
+    `certify`'s seeds too (`_seed_peaks`), so `certify` refuses it as well.
+    A NaN gain refutes nothing, nor does a LinAlgError in that solve.  The
+    Hurwitz systems left take one stacked level-set test at gamma/2."""
+    ev, _, _, hurwitz = spectra
+    half = np.asarray(gamma_half)
+    rows = np.flatnonzero(hurwitz)
+    if rows.size:
+        probed = st.take(rows)
+        try:  # each system at its own n frequencies
+            G = transfer_response(StateSpace(probed.A[:, None], probed.B[:, None], probed.C[:, None]),
+                                  1j * ev[rows].imag)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            rows = rows[~(np.abs(G) >= half[rows, None]).any(axis=1)]
     verdicts = [False] * len(gamma_half)
     if rows.size:
-        crossings = _imag_axis_crossings(st.take(rows), [gamma_half[i] for i in rows])
-        for i, c in zip(rows.tolist(), crossings):
+        for i, c in zip(rows.tolist(), _imag_axis_crossings(st.take(rows), half[rows])):
             verdicts[i] = c.size == 0
     return verdicts
 
@@ -450,12 +465,16 @@ def is_certified(model: SystemModel) -> bool:
     """The verdict alone: F is Hurwitz and the gain of the perturbation
     channel stays strictly below gamma/2 on the whole imaginary axis.
 
-    The second condition is one imaginary-axis eigenvalue test of the
-    level-set matrix at gamma/2, the test `hinf_norm` iterates with; no norm
-    is computed.  It agrees with `certify(model).certified` except where the
-    norm lies within `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then
-    refuses, because its upper bound is not below gamma/2, while this test
-    decides at gamma/2 itself."""
+    The second condition is refuted outright when the gain measured at
+    some frequency Im lambda(F) reaches gamma/2 (see `_verdicts`);
+    otherwise it is one imaginary-axis eigenvalue test of the level-set
+    matrix at gamma/2, the test `hinf_norm` iterates with.  No norm is
+    computed.  A refutation agrees with `certify`, whose upper bound is at
+    least its seed gains at those same frequencies.  The verdict agrees
+    with `certify(model).certified` except where the norm lies within
+    `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then refuses, because
+    its upper bound is not below gamma/2, while the level-set test decides
+    at gamma/2 itself."""
     return _raised(_decided(_stack_of_one(model), [model.gamma / 2.0], _verdicts)[0])
 
 

@@ -73,44 +73,44 @@ def _base(params: PhysicalParams) -> _Base:
     return _Base(params, _invalid(violations) if violations else model)
 
 
-def _sweep(base: _Base, couplings, decide) -> list:
+def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     """`decide` (`_certificates` or `_verdicts`, see `stability._decided`)
-    on the model at every (kappa1, kappa2) pair at once: one result per
-    pair, in order, or the exception that building, validating or deciding
-    its model raised.
+    on the model at every pair of the broadcast rate arrays `kappa1` and
+    `kappa2` at once: one result per pair, in order, or the exception that
+    building, validating or deciding its model raised.
 
     F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: M,
     Etilde and the sector constants do not depend on them, and
     N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)).  So
     only N changes from row to row.  M, Etilde, gamma and the deltas come
-    from the one build in `base`, validated once there; each row adds only
-    its N (`build_coupling`), which is block-structured and finite for
-    every pair `params.replace` accepts.  The rows are realized as one
-    stack and decided in one pass.  Each row first checks its pair as
-    `params.replace(kappa1=..., kappa2=...)` would, so a bad pair keeps its
-    own error ahead of any error from the base build."""
-    rows = []  # each pair's N, or its error
-    for k1, k2 in couplings:
+    from the one build in `base`, validated once there.  The pairs that
+    `params.replace` accepts, both rates finite and nonnegative, take their
+    N from one broadcast `build_coupling` call and are decided as one
+    stack, or all carry the base build's error.  Any other pair carries the
+    error of `params.replace(kappa1=..., kappa2=...)` on it, ahead of any
+    error from the base build."""
+    k1, k2 = np.broadcast_arrays(np.asarray(kappa1, dtype=float), np.asarray(kappa2, dtype=float))
+    good = np.isfinite(k1) & np.isfinite(k2) & (k1 >= 0.0) & (k2 >= 0.0)
+    out: list = [base.model] * k1.size
+    for i in np.flatnonzero(~good).tolist():
         try:
-            base.params.replace(kappa1=k1, kappa2=k2)
-            m = _raised(base.model)
-            rows.append(build_coupling(k1, k2))
+            base.params.replace(kappa1=float(k1[i]), kappa2=float(k2[i]))
         except Exception as exc:  # the row's own result
-            rows.append(exc)
-    N = [r for r in rows if not isinstance(r, Exception)]
-    if N:  # m is the base model: some row got past it
-        Etilde = np.broadcast_to(m.Etilde, (len(N),) + m.Etilde.shape)
-        st = _realization(m.n_modes, m.M, np.array(N), Etilde)
-        decided = iter(_decided(st, [m.gamma / 2.0] * len(N), decide))
-        rows = [r if isinstance(r, Exception) else next(decided) for r in rows]
-    return rows
+            out[i] = exc
+    rows = np.flatnonzero(good)
+    m = base.model
+    if rows.size and not isinstance(m, Exception):
+        Etilde = np.broadcast_to(m.Etilde, (rows.size,) + m.Etilde.shape)
+        st = _realization(m.n_modes, m.M, build_coupling(k1[rows], k2[rows]), Etilde)
+        for i, result in zip(rows.tolist(), _decided(st, [m.gamma / 2.0] * rows.size, decide)):
+            out[i] = result
+    return out
 
 
 def _certified_at(base: _Base, kappa2_values) -> list[bool]:
     """The verdict at each junction coupling value, from one stacked verdict
     call."""
-    k1 = base.params.kappa1
-    return [_raised(r) for r in _sweep(base, [(k1, k2) for k2 in kappa2_values], _verdicts)]
+    return [_raised(r) for r in _sweep(base, base.params.kappa1, kappa2_values, _verdicts)]
 
 
 def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
@@ -118,8 +118,7 @@ def sweep_kappa2(params: PhysicalParams, kappa2_values) -> list[SweepRecord]:
     certification; a row that fails carries its error in-row."""
     values = [float(k2) for k2 in kappa2_values]
     records = []
-    couplings = [(params.kappa1, k2) for k2 in values]
-    for k2, cert in zip(values, _sweep(_base(params), couplings, _certificates)):
+    for k2, cert in zip(values, _sweep(_base(params), params.kappa1, values, _certificates)):
         if isinstance(cert, Exception):
             records.append(SweepRecord(kappa2=k2, hinf_norm=float("nan"),
                                        hurwitz=False, certified=False, error=str(cert)))
@@ -324,7 +323,7 @@ def kappa1_sensitivity(
     """H-infinity norm per cavity coupling value, junction coupling fixed,
     from one stacked certification; the first failing row raises."""
     values = [float(k1) for k1 in kappa1_values]
-    certs = _sweep(_base(params), [(k1, kappa2_fixed) for k1 in values], _certificates)
+    certs = _sweep(_base(params), values, float(kappa2_fixed), _certificates)
     return [(k1, _raised(cert).hinf_norm) for k1, cert in zip(values, certs)]
 
 

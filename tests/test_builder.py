@@ -147,8 +147,29 @@ class TestCoupling:
         assert np.count_nonzero(N - np.diag(np.diag(N))) == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^coupling rates must be nonnegative, got -1.0, 1.0$"):
             build_coupling(-1.0, 1.0)
+
+    def test_scalar_rates_give_one_matrix(self):
+        assert build_coupling(1e11, 2.5e12).shape == (4, 4)
+
+    def test_array_rates_broadcast(self):
+        # bit for bit the per-pair calls, over a (3, 1) x (4,) grid
+        k1 = np.array([[0.0], [1e11], [3.0]])
+        k2 = np.array([2.5e12, 0.0, 7.0, 1e-300])
+        N = build_coupling(k1, k2)
+        assert N.shape == (3, 4, 4, 4)
+        for i, j in np.ndindex(3, 4):
+            assert N[i, j].tobytes() == build_coupling(float(k1[i, 0]), float(k2[j])).tobytes()
+
+    @pytest.mark.parametrize("kappa1, kappa2", [
+        ([1.0, 2.0, -1.0], 2.0),
+        (1.0, [[2.0, 3.0], [-1e-300, 4.0]]),
+        (np.full(3, -1.0), np.full(3, -1.0)),
+    ])
+    def test_negative_entry_anywhere_rejected(self, kappa1, kappa2):
+        with pytest.raises(ValueError, match="^coupling rates must be nonnegative, got "):
+            build_coupling(kappa1, kappa2)
 
 
 class TestZeta:

@@ -674,3 +674,93 @@ class TestNonFiniteModel:
         assert got[0] == got[1] and "M2 transpose-symmetry" in got[0]
         assert got[2:] == ["ValueError: model fails structural validation: "
                            "M has a non-finite entry at (0,0)"] * 2
+
+
+def level_set_only(st, spectra, gamma_half):
+    """`_verdicts` without its refusal witness: the level-set test at
+    gamma/2 on every Hurwitz system."""
+    rows = np.flatnonzero(spectra[3])
+    verdicts = [False] * len(gamma_half)
+    if rows.size:
+        crossings = stability._imag_axis_crossings(st.take(rows), [gamma_half[i] for i in rows])
+        for i, c in zip(rows.tolist(), crossings):
+            verdicts[i] = c.size == 0
+    return verdicts
+
+
+def witness_models(paper_params):
+    """Random draws and paper-point models on a kappa2 grid across kappa2*,
+    and random_params draws on a kappa2 grid: Hurwitz models on both sides
+    of gamma/2."""
+    rng = np.random.default_rng(71)
+    models = [make_random_model(rng) for _ in range(40)]
+    for p in [paper_params] + [random_params(rng) for _ in range(3)]:
+        models += [build_model(p.replace(kappa2=float(k2))) for k2 in np.logspace(10, 14, 25)]
+    return models
+
+
+class TestRefusalWitness:
+    """`_verdicts` refuses a Hurwitz model without the level-set test when
+    its gain at some Im lambda(F) reaches gamma/2, and reads what the
+    level-set test alone reads."""
+
+    @staticmethod
+    def level_set_rows(monkeypatch):
+        """The state matrices that reach the 8x8 level-set test."""
+        crossings, seen = stability._imag_axis_crossings, []
+
+        def recorded(st, levels):
+            seen.extend(st.A)
+            return crossings(st, levels)
+
+        monkeypatch.setattr(stability, "_imag_axis_crossings", recorded)
+        return seen
+
+    def test_equals_level_set_only_rule(self, paper_params):
+        models = witness_models(paper_params)
+        got = stacked(models, stability._verdicts)
+        assert got == stacked(models, level_set_only)
+        assert "True" in got and "False" in got
+
+    def test_refused_rows_have_a_measured_gain_at_gamma_half(self, paper_params, monkeypatch):
+        models = witness_models(paper_params)
+        seen = self.level_set_rows(monkeypatch)
+        got = stacked(models, stability._verdicts)
+        refused = 0
+        for m, verdict in zip(models, got):
+            F = build_F(m)
+            if not is_hurwitz(F) or any(np.array_equal(A, F) for A in seen):
+                continue
+            assert verdict == "False"
+            ss = state_space(m)
+            gains = [abs(transfer_eval(ss, 1j * w)) for w in np.linalg.eigvals(F).imag]
+            assert max(gains) >= m.gamma / 2.0
+            refused += 1
+        assert refused >= 40  # the witness does decide rows
+
+    def test_imaginary_axis_model_reads_false(self, paper_params, monkeypatch):
+        # N = 0 and a diagonal M: F has the exact spectrum +-2i, +-3i, where
+        # a probe would be a singular solve; it is not Hurwitz, so neither
+        # the probe nor the level-set test sees it
+        undamped = jc.SystemModel(n_modes=2, M=np.diag([2.0, 3.0, 2.0, 3.0]), N=np.zeros((4, 4)),
+                                  Etilde=build_zeta(), gamma=1.0)
+        assert not stability._spectra(build_F(undamped))[3]
+        below, above = (build_model(paper_params.replace(kappa2=k2)) for k2 in (1e12, 2.5e12))
+        seen = self.level_set_rows(monkeypatch)
+        assert stacked([undamped, below, above], stability._verdicts) == ["False", "False", "True"]
+        assert len(seen) == 1 and np.array_equal(seen[0], build_F(above))
+
+    @pytest.mark.parametrize("fails", ["raises", "nan"])
+    def test_failed_probe_refutes_nothing(self, paper_params, monkeypatch, fails):
+        models = witness_models(paper_params)
+        want = stacked(models, stability._verdicts)
+
+        def failing(ss, s):
+            if fails == "raises":
+                raise np.linalg.LinAlgError("forced failure")
+            return np.full(np.shape(s), np.nan + 0j)
+
+        monkeypatch.setattr(stability, "transfer_response", failing)
+        seen = self.level_set_rows(monkeypatch)
+        assert stacked(models, stability._verdicts) == want
+        assert len(seen) == sum(is_hurwitz(build_F(m)) for m in models)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -264,7 +265,11 @@ class TestThresholdSafeguard:
         code = ("import sys, jjcavity; "
                 "jjcavity.find_threshold(jjcavity.reference_params(), 1e11, 1e13); "
                 "assert 'logging' not in sys.modules")
-        subprocess.run([sys.executable, "-c", code], check=True)
+        # the child imports jjcavity from where this process did, with or
+        # without a PYTHONPATH in the environment
+        src = os.path.dirname(os.path.dirname(sweep.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_debug_record(self, paper_params, caplog):
         with caplog.at_level(logging.DEBUG, logger="jjcavity.sweep"):
@@ -468,6 +473,34 @@ class TestReferencePath:
         assert repr(kappa1_sensitivity(p, kappa1, kappa2_fixed=2.5e12)) == repr(want)
 
 
+class TestBadRows:
+    """A coupling value that `params.replace` rejects carries its exact
+    error; the good rows around it are `certify` on their own model, or the
+    base build's error."""
+
+    KAPPA2 = [2.5e12, -1.0, math.nan, math.inf, 0.0, 1e12]
+
+    @staticmethod
+    def replace_error(p, k2):
+        with pytest.raises(ValueError) as exc:
+            p.replace(kappa2=k2)
+        return str(exc.value)
+
+    def test_rows_equal_replace_error_or_certify(self, paper_params):
+        recs = sweep_kappa2(paper_params, self.KAPPA2)
+        for k2, rec in zip(self.KAPPA2, recs):
+            if math.isfinite(k2) and k2 >= 0:
+                cert = certify(build_model(paper_params.replace(kappa2=k2)))
+                want = SweepRecord(kappa2=k2, hinf_norm=cert.hinf_norm,
+                                   hurwitz=cert.hurwitz, certified=cert.certified)
+            else:
+                want = SweepRecord(kappa2=k2, hinf_norm=math.nan, hurwitz=False, certified=False,
+                                   error=self.replace_error(paper_params, k2))
+            assert repr(rec) == repr(want)
+        assert [r.error is None for r in recs] == [True, False, False, False, True, True]
+        assert not recs[4].hurwitz and recs[0].certified and not recs[5].certified
+
+
 class TestEigvalsCount:
     """Eigen-decompositions are stacked: the count does not grow with the
     number of rows."""
@@ -491,15 +524,17 @@ class TestEigvalsCount:
         assert all(s[1:] == (8, 8) for s in shapes[1:])
         assert len(shapes) <= 8
 
-    def test_threshold_audit_is_one_level_set_call(self, paper_params, monkeypatch):
+    def test_refused_audit_rows_take_no_level_set_test(self, paper_params, monkeypatch):
         shapes = self.counting(monkeypatch)
         find_threshold(paper_params, 1e11, 1e13)
-        # every audit model is Hurwitz here, so all 20 take the level-set test
+        # every audit model is Hurwitz here; the 13 below kappa2* are refused
+        # by a gain measured at Im lambda(F), so only 7 take the level-set test
         n = sweep.THRESHOLD_AUDIT_POINTS
-        assert shapes[:2] == [(n, 4, 4), (n, 8, 8)]
+        assert shapes[:2] == [(n, 4, 4), (7, 8, 8)]
         # then the norms, one model each, and last the verification pair
         assert shapes[2] == (1, 4, 4) and all(s[0] == 1 for s in shapes[2:-2])
         assert shapes[-2:] == [(2, 4, 4), (2, 8, 8)]
+        assert sum(s[0] for s in shapes if s[1:] == (8, 8)) == 12
 
 
 class TestBuildCount:
@@ -589,6 +624,18 @@ class TestInvalidBase:
                                           N=build_coupling(paper_params.kappa1, k2))
                 assert rec.error == self.certify_error(row)
                 assert math.isnan(rec.hinf_norm) and not rec.hurwitz and not rec.certified
+
+    def test_bad_rows_keep_replace_error(self, paper_params, invalid_build):
+        kappa2 = TestBadRows.KAPPA2
+        recs = sweep_kappa2(paper_params, kappa2)
+        for k2, rec in zip(kappa2, recs):
+            if math.isfinite(k2) and k2 >= 0:
+                row = dataclasses.replace(invalid_build(paper_params),
+                                          N=build_coupling(paper_params.kappa1, k2))
+                assert rec.error == self.certify_error(row)
+            else:
+                assert rec.error == TestBadRows.replace_error(paper_params, k2)
+            assert math.isnan(rec.hinf_norm) and not rec.hurwitz and not rec.certified
 
     def test_sensitivity_and_threshold_raise_it(self, paper_params, invalid_build):
         want = self.certify_error(invalid_build(paper_params))
