@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and when a certificate is issued), 2 when the
-model is not certified or a threshold bracket fails on the certified side,
-1 on any other error, usage errors included.
+model is not certified, a threshold bracket is invalid on either side or a
+sector check fails, 1 on any other error, usage errors included.
 """
 
 from __future__ import annotations

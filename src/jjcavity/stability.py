@@ -158,39 +158,40 @@ def transfer_eval(ss: StateSpace, s: complex) -> complex:
         ) from exc
 
 
-def _unique(x: np.ndarray) -> np.ndarray:
-    """np.unique of a finite 1-D array, without its per-call overhead: the
-    same sort, keeping the first of each run of equal values."""
-    x = np.sort(x)
-    keep = np.empty(x.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+def _row_gains(st: StateSpace, w: np.ndarray) -> np.ndarray:
+    """|G(i w)| of each system of the stack `st` at each frequency of its
+    own row of the (k, m) array `w`, from one stacked `transfer_response`."""
+    return np.abs(transfer_response(StateSpace(st.A[:, None], st.B[:, None], st.C[:, None]), 1j * w))
 
 
-def _seed_peaks(st: StateSpace, eigenvalues: np.ndarray) -> tuple[list, list]:
-    """(largest |G(i w)|, its w) of each system of `st` over its seeds:
-    w = 0, Im lambda(A), +-|lambda(A)|, n multiples of max |lambda(A)|
-    beyond it, and the midpoint of each consecutive pair of those, from one
-    stacked solve over all of them."""
+def _row_peaks(st: StateSpace, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(largest gain, its frequency) on each row of `w`, measured by
+    `_row_gains`; the first of equal gains, so a row padded with repeats of
+    its own entries gives what the row alone gives."""
+    gains = _row_gains(st, w)
+    rows, best = np.arange(len(w)), gains.argmax(axis=1)
+    return gains[rows, best], w[rows, best]
+
+
+def _seeds(eigenvalues: np.ndarray) -> np.ndarray:
+    """The seed frequencies of each system of a stack, one row each, from
+    its spectrum: w = 0, Im lambda(A), +-|lambda(A)|, n multiples of
+    max |lambda(A)| beyond it, and the midpoint of each consecutive pair of
+    those."""
     k, n = eigenvalues.shape
     # the state matrix has complex coefficients, so |G(i w)| is not symmetric
     # in w and the seeds run over the whole signed axis
     radii = np.abs(eigenvalues)
     extra = radii.max(axis=1, keepdims=True) * np.arange(2, n + 2)
     w = np.sort(np.concatenate([np.zeros((k, 1)), eigenvalues.imag, radii, -radii, extra], axis=1))
-    w = np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
-    systems = StateSpace(st.A[:, None], st.B[:, None], st.C[:, None])  # each over its row of w
-    gains = np.abs(transfer_response(systems, 1j * w))
-    rows, best = np.arange(k), gains.argmax(axis=1)
-    return gains[rows, best].tolist(), w[rows, best].tolist()
+    return np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
 
 
 def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
-    """For each system of `st`, the frequencies where some eigenvalue of its
-    level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L, -A^H]],
-    sits on the imaginary axis; empty iff its gain stays strictly below L.
-    One eigvals call on the (k, 2n, 2n) stack."""
+    """For each system of `st`, the sorted frequencies where some eigenvalue
+    of its level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L,
+    -A^H]], sits on the imaginary axis; empty iff its gain stays strictly
+    below L.  One eigvals call on the (k, 2n, 2n) stack."""
     A, B, C = st.A, st.B, st.C
     k, n = A.shape[:2]
     level = np.asarray(levels, dtype=float)[:, None, None]
@@ -202,45 +203,34 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     ev = np.linalg.eigvals(H)
     tol = IMAG_AXIS_REL_TOL * np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
     on_axis = np.abs(ev.real) <= tol[:, None]
-    none = np.empty(0)
-    return [_unique(e.imag[m]) if hit else none
-            for e, m, hit in zip(ev, on_axis, on_axis.any(axis=1).tolist())]
+    return [np.sort(e.imag[m]) for e, m in zip(ev, on_axis)]
 
 
-def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: list,
-            rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each system st[rows[j]]: the largest gain at its candidate
-    frequencies omegas[j], moved onto the local maximum of
-    phi(w) = |G(i w)|^2 by Newton steps.  Returns arrays (gain, w, raised);
-    raised[j] says whether that largest candidate gain exceeded floor[j],
-    and a system where it did not takes no step.  `rhs` stacks
-    [B, B, C^T] of every system of `st`.
+def _polish(st: StateSpace, rhs: np.ndarray, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (gain, w): each system of `st` from its own start frequency
+    w, moved onto the local maximum of phi(w) = |G(i w)|^2 by Newton steps.
+    `rhs` stacks [B, B, C^T] of every system of `st`.
 
     With R = (i w I - A)^-1: G = C R B, G' = -i C R^2 B and
     G'' = -2 C R^3 B = -2 (C R)(R^2 B).  Each measurement is one stacked
-    solve of [lhs, lhs^2, lhs^T] against [B, B, C^T], lhs = i w I - A: the
-    first over every candidate, the later ones over the systems still
-    stepping.  With a = C R^2 B / G and b = C R^3 B / G the Newton step is
-    Im a / (2 Re b - |a|^2), and Im a times it is the rise of phi it
-    promises, relative to phi.  Where phi is not concave (a dip, or a flank
-    past its inflection) Newton would climb down, and the step goes instead
-    to the frequency of the pole that a one-pole G = r / (i w - p) with the
-    same a and b would have: -Im(a / b).  A step is kept only where the
-    gain measured at its end rose, so every gain returned is a measured
-    one.  A system stops at the first step that does not raise its gain,
-    once a Newton step promises a rise below rel_tol/1000 (far inside the
-    gap rel_tol/5 that the level-set test at hi = (1 + rel_tol/5) lo
-    leaves), or after HINF_POLISH_STEPS steps.  Which of these it meets
-    depends on its own matrices alone, so its result is the same alone and
-    in a stack."""
+    solve of [lhs, lhs^2, lhs^T] against [B, B, C^T], lhs = i w I - A, over
+    the systems still stepping; at the starts it gives the gain that
+    `_row_gains` measures there, bit for bit.  With a = C R^2 B / G and
+    b = C R^3 B / G the Newton step is Im a / (2 Re b - |a|^2), and Im a
+    times it is the rise of phi it promises, relative to phi.  Where phi is
+    not concave (a dip, or a flank past its inflection) Newton would climb
+    down, and the step goes instead to the frequency of the pole that a
+    one-pole G = r / (i w - p) with the same a and b would have:
+    -Im(a / b).  A step is kept only where the gain measured at its end
+    rose, so every gain returned is a measured one.  A system stops at the
+    first step that does not raise its gain, once a Newton step promises a
+    rise below rel_tol/1000 (far inside the gap rel_tol/5 that the
+    level-set test at hi = (1 + rel_tol/5) lo leaves), or after
+    HINF_POLISH_STEPS steps.  Which of these it meets depends on its own
+    matrices alone, so its result is the same alone and in a stack."""
     n = st.A.shape[-1]
-    sizes = [w.size for w in omegas]
-    w = np.concatenate(omegas)
-    if len(rows) == w.size == len(st.A):  # one candidate per system: the stack itself
-        A, C = st.A, st.C
-    else:
-        take = np.repeat(rows, sizes)  # the system of each candidate
-        A, C, rhs = st.A[take], st.C[take], rhs[take]
+    A, C = st.A, st.C
+    w = np.array(w, dtype=float)
     # [lhs, lhs^2, lhs^T]: off the diagonal lhs is -A and lhs^T is -A^T;
     # each step writes the diagonal i w - A_jj of both, and lhs^2
     lhs = np.empty((w.size, 3, n, n), dtype=complex)
@@ -252,6 +242,7 @@ def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: li
         return lhs[:, 0], lhs[:, 1], lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1]
 
     lhs0, lhs1, diagonals = views(lhs)
+    at = np.arange(w.size)  # the systems still stepping
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(HINF_POLISH_STEPS + 1):
             np.subtract(1j * w[:, None, None], diag, out=diagonals)
@@ -262,21 +253,11 @@ def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: li
             if step:
                 go = gain > g_best
                 g_best, w_best = np.where(go, gain, g_best), np.where(go, w, w_best)
-                if step == HINF_POLISH_STEPS:
-                    break
             else:
-                if w.size > len(rows):  # each system's best candidate, the first of equal gains
-                    best, start = [], 0
-                    for size in sizes:
-                        best.append(start + int(gain[start:start + size].argmax()))
-                        start += size
-                    diag, C, rhs, lhs, x, g, gain, w = (
-                        v[best] for v in (diag, C, rhs, lhs, x, g, gain, w))
-                    lhs0, lhs1, diagonals = views(lhs)
-                raised = gain > np.asarray(floor)
-                go, at = raised, np.arange(len(rows))  # the systems still stepping
-                g_best = out_g = gain
-                w_best = out_w = w
+                go, g_best, w_best = True, gain, w
+                out_g, out_w = gain, w
+            if step == HINF_POLISH_STEPS:
+                break
             a, b = (x[:, :2] @ x[:, 2, :, None])[..., 0].T / g
             curv = (2.0 * b - a * a.conj()).real
             delta = a.imag / curv
@@ -293,7 +274,7 @@ def _polish(st: StateSpace, rhs: np.ndarray, rows: list, omegas: list, floor: li
                 lhs0, lhs1, diagonals = views(lhs)
             w = w + delta
     out_g[at], out_w[at] = g_best, w_best
-    return out_g, out_w, raised
+    return out_g, out_w
 
 
 def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
@@ -301,47 +282,54 @@ def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
     """`hinf_norm` on every system of a stack of Hurwitz systems at once
     (`_certificates` runs it for `certify`, a stack of one, and for the
     sweeps): one (norm, frequency) per system, or the RuntimeError that ends
-    its iteration.  Each step polishes the candidate peak of every system still
-    crossing (`_polish`), then runs one stacked level-set test over them."""
+    its iteration.
+
+    Each step picks one start per system still searching, with one
+    `_row_peaks` over all of them: first its best seed, later the best of
+    its crossings and the midpoints between consecutive ones, each list
+    padded with repeats of its own entries to the longest.  A start whose
+    gain does not exceed the system's `lo` (at the seeds -inf, so only a
+    NaN) ends it with `_failed`.  The others take one `_polish` and then
+    one stacked level-set test at hi = (1 + rel_tol/5) lo; a system with
+    no crossing ends with (hi, its polished frequency).  After the
+    HINF_MAX_ITER-th test no crossings are measured, and a system still
+    crossing fails with the level, `lo` and frequency of its last polish."""
     k, n = eigenvalues.shape
-    lo, freq = _seed_peaks(st, eigenvalues)
+    lo, freq = _row_peaks(st, _seeds(eigenvalues))
+    hi = np.full(k, math.nan)
     rhs = np.stack([st.B, st.B, st.C.swapaxes(1, 2)], axis=1)
-    hi = [math.nan] * k
     out: list = [None] * k
-    rows = []
-    for i in range(k):
-        if lo[i] != 0.0:
-            rows.append(i)
-        elif not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
+    zero = lo == 0.0
+    for i in np.flatnonzero(zero).tolist():
+        if not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
             # G == 0 iff every Markov parameter C A^p B, p < n, is zero
             out[i] = (0.0, 0.0)
         else:
             out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-    # the first polish starts at each system's best seed; a later one at the
-    # best of its crossings and their midpoints, which must beat lo
-    omegas = [np.array([freq[i]]) for i in rows]
-    floor = [-math.inf] * len(rows)
-    for _ in range(HINF_MAX_ITER):
-        if not rows:
+    rows = np.flatnonzero(~zero)  # the systems still searching
+    best, start, floor = lo[rows], freq[rows], -math.inf
+    for step in range(HINF_MAX_ITER):
+        if step:
+            candidates = [np.concatenate([c, (c[:-1] + c[1:]) / 2.0]) for c in crossings]
+            size = max(c.size for c in candidates)
+            best, start = _row_peaks(st.take(rows), np.array([np.resize(c, size) for c in candidates]))
+            floor = lo[rows]
+        raised = best > floor
+        for i in rows[~raised].tolist():
+            out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+        rows, start = rows[raised], start[raised]
+        if not rows.size:
             break
-        testing = []
-        polished = _polish(st, rhs, rows, omegas, floor, rel_tol)
-        for i, g, w, raised in zip(rows, *(v.tolist() for v in polished)):
-            if raised:
-                lo[i], freq[i], hi[i] = g, w, (1.0 + rel_tol / 5.0) * g
-                testing.append(i)
-            else:
-                out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
-        rows, omegas = [], []
-        crossings = _imag_axis_crossings(st.take(testing), [hi[i] for i in testing]) if testing else ()
-        for i, c in zip(testing, crossings):
-            if c.size == 0:
-                out[i] = (hi[i], freq[i])
-            else:
-                rows.append(i)
-                omegas.append(np.concatenate([c, (c[:-1] + c[1:]) / 2.0]))
-        floor = [lo[i] for i in rows]
-    for i in rows:
+        lo[rows], freq[rows] = _polish(st.take(rows), rhs[rows], start, rel_tol)
+        hi[rows] = (1.0 + rel_tol / 5.0) * lo[rows]
+        crossings = _imag_axis_crossings(st.take(rows), hi[rows])
+        crossed = np.array([c.size > 0 for c in crossings])
+        for i in rows[~crossed].tolist():
+            out[i] = (float(hi[i]), float(freq[i]))
+        rows, crossings = rows[crossed], [c for c in crossings if c.size]
+        if not rows.size:
+            break
+    for i in rows.tolist():
         out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
     return out
 
@@ -365,25 +353,27 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     sup |G(i w)| and the frequency of the largest gain measured.
 
     The level-set iteration of Bruinsma & Steinbuch (Systems & Control
-    Letters 14, 1990), with Newton-polished peaks.  The lower bound `lo`
-    starts as the largest gain at w = 0, Im lambda(A), +-|lambda(A)|, n
+    Letters 14, 1990), with Newton-polished peaks.  Each step polishes one
+    start frequency into the lower bound `lo`.  The first start is the
+    frequency of the largest gain at w = 0, Im lambda(A), +-|lambda(A)|, n
     multiples of max |lambda(A)| beyond it, and the midpoints between
     consecutive ones.  Those are n + 1 or more distinct frequencies, and a
     strictly proper G that is not identically zero vanishes at no more than
-    n - 1 of them.  Before each test, Newton steps on |G(i w)|^2 move `lo`
-    and its frequency onto the local maximum they sit by (`_polish`; where
-    |G|^2 is not concave, a step to the frequency of the locally dominant
-    pole instead).  A step is kept only where the gain measured at its end
-    rose, so `lo` is always a measured |G(i w)|: a lower bound on the norm.
-    Each step then tests the level hi = (1 + rel_tol/5) lo with the
-    imaginary-axis test of Boyd, Balakrishnan & Kabamba (1989), valid for
-    complex state matrices.  No crossing means the gain stays below hi on
-    the whole (signed) axis, and hi is returned: the bound comes from that
+    n - 1 of them.  Newton steps on |G(i w)|^2 move the start onto the
+    local maximum it sits by (`_polish`; where |G|^2 is not concave, a step
+    to the frequency of the locally dominant pole instead).  A step is kept
+    only where the gain measured at its end rose, so `lo` is always a
+    measured |G(i w)|: a lower bound on the norm.  Each step then tests the
+    level hi = (1 + rel_tol/5) lo with the imaginary-axis test of Boyd,
+    Balakrishnan & Kabamba (1989), valid for complex state matrices.  No
+    crossing means the gain stays below hi on the whole (signed) axis, and
+    hi is returned with the frequency of `lo`: the bound comes from that
     test alone, and the polish only makes the first test more likely to be
-    the last.  Otherwise the largest gain at the crossings and the
-    midpoints between consecutive ones is polished and becomes `lo`; a step
-    where it does not exceed `lo`, or HINF_MAX_ITER steps, raise
-    RuntimeError.  `ss` is one system; a stack raises ValueError.  Its A
+    the last.  Otherwise the next start is the frequency of the largest
+    gain at the crossings and the midpoints between consecutive ones.  A
+    start whose gain does not exceed `lo`, or a level still crossed after
+    HINF_MAX_ITER tests, raises RuntimeError naming the last level, `lo`
+    and its frequency.  `ss` is one system; a stack raises ValueError.  Its A
     must pass the Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the
     axis supremum is not the norm and ValueError is raised; the seeds come
     from that same spectrum.  This is the stack of one of `_hinf_norms`,
@@ -394,7 +384,7 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     resolves a crossing only to about sqrt(eps) times the matrix scale,
     the order of its own detection tolerance.  Below the floor the iteration
     stalls on physical models: on 300 `random_params` draws times 25 kappa2
-    values in [1e10, 1e14] it fails on 4 at 1e-8, 29 at 1e-9 and 152 at
+    values in [1e10, 1e14] it fails on 4 at 1e-8, 26 at 1e-9 and 147 at
     1e-10, and on none at 1e-7."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
@@ -439,21 +429,19 @@ def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
     whose gain reaches gamma/2 at one of the frequencies Im lambda(F) of
     its own spectrum, measured for all of them in one stacked solve: a
     measured gain is a lower bound on the norm, and those frequencies are
-    `certify`'s seeds too (`_seed_peaks`), so `certify` refuses it as well.
+    `certify`'s seeds too (`_seeds`), so `certify` refuses it as well.
     A NaN gain refutes nothing, nor does a LinAlgError in that solve.  The
     Hurwitz systems left take one stacked level-set test at gamma/2."""
     ev, _, _, hurwitz = spectra
     half = np.asarray(gamma_half)
     rows = np.flatnonzero(hurwitz)
     if rows.size:
-        probed = st.take(rows)
         try:  # each system at its own n frequencies
-            G = transfer_response(StateSpace(probed.A[:, None], probed.B[:, None], probed.C[:, None]),
-                                  1j * ev[rows].imag)
+            gains = _row_gains(st.take(rows), ev[rows].imag)
         except np.linalg.LinAlgError:
             pass
         else:
-            rows = rows[~(np.abs(G) >= half[rows, None]).any(axis=1)]
+            rows = rows[~(gains >= half[rows, None]).any(axis=1)]
     verdicts = [False] * len(gamma_half)
     if rows.size:
         for i, c in zip(rows.tolist(), _imag_axis_crossings(st.take(rows), half[rows])):

@@ -177,6 +177,13 @@ class TestThreshold:
         assert main(["threshold", *PARAM_FLAGS, "--lo", "2.5e12",
                      "--hi", "3e12"]) == EXIT_NOT_CERTIFIED
 
+    def test_uncertified_hi_exit_two(self, capsys):
+        assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11",
+                     "--hi", "2e12"]) == EXIT_NOT_CERTIFIED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bracket invalid: not certified at hi = 2.000000e+12\n"
+
     @pytest.mark.parametrize("rel_tol", ["nan", "inf", "0", "1e-17"])
     def test_bad_rel_tol_exit_one(self, capsys, rel_tol):
         assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11", "--hi", "1e13",

@@ -291,6 +291,24 @@ class TestHinfNorm:
         with pytest.raises(RuntimeError, match=r"level 5\.0000\d+e-01 still crossed; lower bound 5\.0+e-01"):
             hinf_norm(ss)
 
+    @pytest.mark.parametrize("max_iter, message", [
+        (1, "level 3.328202e-01 still crossed; lower bound 3.328201e-01 at -1.500000e+00 rad/s"),
+        (2, "level 3.333183e-01 still crossed; lower bound 3.333182e-01 at -1.400000e+00 rad/s"),
+    ])
+    def test_out_of_steps_raises(self, monkeypatch, max_iter, message):
+        # G(s) = s / ((s+1)(s+2)) peaks at +-sqrt(2); unpolished, lo is the
+        # best seed's gain, at w = -1.5, and the midpoint -1.4 of the forced
+        # crossings beats it.  After the last test no candidate is measured:
+        # the message names the level, lo and frequency of the last polish
+        monkeypatch.setattr(stability, "HINF_MAX_ITER", max_iter)
+        monkeypatch.setattr(stability, "HINF_POLISH_STEPS", 0)
+        monkeypatch.setattr(stability, "_imag_axis_crossings",
+                            lambda st, levels: [np.array([-1.6, -1.2])] * len(levels))
+        ss = StateSpace(A=np.diag([-1.0, -2.0]), B=[1.0, 1.0], C=[-1.0, 2.0])
+        with pytest.raises(RuntimeError) as exc:
+            hinf_norm(ss)
+        assert str(exc.value) == f"H-infinity iteration failed: {message}, abscissa -1.000000e+00"
+
     def test_paper_value(self, paper_certificate):
         assert paper_certificate.hinf_norm == pytest.approx(5.5554e-13, rel=1e-3)
 
@@ -354,6 +372,105 @@ class TestRelTolFloor:
         st, ev, abscissa = stall_sample
         failed = [r for r in stability._hinf_norms(st, ev, abscissa, rel_tol) if isinstance(r, Exception)]
         assert failed == []
+
+
+def realized(models):
+    """The realizations of `models`, all of one order, as one stack."""
+    M, N, Etilde = (np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde"))
+    return stability._realization(models[0].n_modes, M, N, Etilde)
+
+
+def bench_style_models(paper_params, rng, count):
+    """Models around the published point as the benchmark draws them: the
+    constants within 5%, kappa2 log-uniform over [1e11, 1e13]."""
+    out = []
+    for _ in range(count):
+        scaled = {k: getattr(paper_params, k) * rng.uniform(0.95, 1.05) for k in ("omega", "g", "U", "Jp", "kappa1")}
+        out.append(build_model(paper_params.replace(kappa2=10.0 ** rng.uniform(11.0, 13.0), **scaled)))
+    return out
+
+
+class TestPolishStart:
+    """With no Newton step `_polish` returns each start and, bit for bit,
+    the gain `_row_gains` measures there: a start picked by `_row_gains`
+    and then polished carries the very gain it was picked by."""
+
+    def test_start_gain_is_row_gain(self, paper_model, paper_params, monkeypatch):
+        rng = np.random.default_rng(19)
+        models = [paper_model] + bench_style_models(paper_params, rng, 12)
+        models += [make_random_model(rng) for _ in range(12)]
+        st = realized(models)
+        ev = stability._spectra(st.A)[0]
+        signed = np.abs(ev).max(axis=1, keepdims=True) * rng.uniform(-3.0, 3.0, (len(models), 8))
+        rhs = np.stack([st.B, st.B, st.C.swapaxes(1, 2)], axis=1)
+        monkeypatch.setattr(stability, "HINF_POLISH_STEPS", 0)
+        for w in (stability._seeds(ev), signed):
+            want = stability._row_gains(st, w)
+            for j in range(w.shape[1]):
+                gain, at = stability._polish(st, rhs, w[:, j], stability.HINF_DEFAULT_REL_TOL)
+                assert gain.tolist() == want[:, j].tolist()
+                assert at.tolist() == w[:, j].tolist()
+
+
+class TestRepeatedCrossings:
+    """A crossing listed twice only adds an equal candidate, and the first
+    of equal gains is picked: [a, a, b] gives the (norm, frequency) of
+    [a, b], alone and in a stack whose rows have 1, 3 and 7 candidates."""
+
+    @staticmethod
+    def norms(monkeypatch, models, first):
+        """`_hinf_norms` on the stack of `models`, unpolished (so that the
+        first level-set test crosses), with the real crossings c of the
+        first test replaced by first[j](c) on system j."""
+        crossings, calls = stability._imag_axis_crossings, []
+
+        def forced(st, levels):
+            found = crossings(st, levels)
+            if not calls:
+                assert all(c.size == 2 for c in found)
+                found = [f(c) for f, c in zip(first, found)]
+            calls.append(found)
+            return found
+
+        st = realized(models)
+        ev, abscissa, _, _ = stability._spectra(st.A)
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_imag_axis_crossings", forced)
+            m.setattr(stability, "HINF_POLISH_STEPS", 0)
+            out = stability._hinf_norms(st, ev, abscissa, stability.HINF_DEFAULT_REL_TOL)
+        assert len(calls) >= 2
+        return out
+
+    @staticmethod
+    def twice(c):
+        return np.array([c[0], c[0], c[1]])
+
+    @staticmethod
+    def once(c):
+        return c
+
+    @staticmethod
+    def one(c):
+        return c[:1]
+
+    @staticmethod
+    def four(c):
+        return np.linspace(c[0], c[1], 4)
+
+    def test_alone(self, paper_model, monkeypatch):
+        rng = np.random.default_rng(23)
+        for model in [paper_model] + [make_random_model(rng) for _ in range(4)]:
+            got = self.norms(monkeypatch, [model], [self.twice])
+            assert got == self.norms(monkeypatch, [model], [self.once])
+            assert isinstance(got[0], tuple)
+
+    def test_in_a_ragged_stack(self, paper_model, monkeypatch):
+        rng = np.random.default_rng(29)
+        models = [make_random_model(rng), paper_model, make_random_model(rng)]
+        got = self.norms(monkeypatch, models, [self.one, self.twice, self.four])
+        assert got == self.norms(monkeypatch, models, [self.one, self.once, self.four])
+        assert got[1] == self.norms(monkeypatch, [paper_model], [self.once])[0]
+        assert all(isinstance(r, tuple) for r in got)
 
 
 class TestCertify:
@@ -585,9 +702,7 @@ def valid_order_two(paper_model):
 def stacked(models, decide):
     """The outcome of each model of `models`, all of one order, from one
     `_decided` call with `decide` on their realizations as one stack."""
-    M, N, Etilde = (np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde"))
-    st = stability._realization(models[0].n_modes, M, N, Etilde)
-    found = stability._decided(st, [m.gamma / 2.0 for m in models], decide)
+    found = stability._decided(realized(models), [m.gamma / 2.0 for m in models], decide)
     return [outcome(stability._raised, r) for r in found]
 
 
