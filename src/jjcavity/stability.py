@@ -29,17 +29,20 @@ HINF_MAX_ITER = 30
 #: peak needs two or three, a broad skewed one (large kappa2) up to six
 HINF_POLISH_STEPS = 6
 #: imaginary-axis detection threshold, relative to the max-abs entry of the
-#: level-set matrix (scale-free across the model's huge dynamic range)
+#: level-set matrix with no absolute floor: unchanged when A, B B^H and C^H C
+#: scale together (a change of time unit), but not when one block dwarfs the
+#: others, which is why `hinf_norm` balances B against C first
 IMAG_AXIS_REL_TOL = 1e-8
 
 
 def _spectra(A: np.ndarray):
     """(eigenvalues, abscissa, hurwitz_tol, hurwitz) of A, or of each matrix
     of a (k, n, n) stack, from one eigvals call, with the one Hurwitz rule:
-    abscissa < -hurwitz_tol = -1e-6 eps max(1, max |A_ij|)."""
+    abscissa < -hurwitz_tol = -1e-6 eps max |A_ij|, relative with no absolute
+    floor, so a change of time unit does not change the verdict."""
     ev = np.linalg.eigvals(A)
     abscissa = ev.real.max(axis=-1)
-    tol = 1e-6 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))) * np.finfo(float).eps
+    tol = 1e-6 * np.abs(A).max(axis=(-2, -1)) * np.finfo(float).eps
     return ev, abscissa, tol, abscissa < -tol
 
 
@@ -201,15 +204,14 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     H[:, n:, :n] = -(C.conj().transpose(0, 2, 1) @ C) / level
     H[:, n:, n:] = -A.conj().transpose(0, 2, 1)
     ev = np.linalg.eigvals(H)
-    tol = IMAG_AXIS_REL_TOL * np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+    tol = IMAG_AXIS_REL_TOL * np.abs(H).max(axis=(1, 2))
     on_axis = np.abs(ev.real) <= tol[:, None]
     return [np.sort(e.imag[m]) for e, m in zip(ev, on_axis)]
 
 
-def _polish(st: StateSpace, rhs: np.ndarray, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (gain, w): each system of `st` from its own start frequency
     w, moved onto the local maximum of phi(w) = |G(i w)|^2 by Newton steps.
-    `rhs` stacks [B, B, C^T] of every system of `st`.
 
     With R = (i w I - A)^-1: G = C R B, G' = -i C R^2 B and
     G'' = -2 C R^3 B = -2 (C R)(R^2 B).  Each measurement is one stacked
@@ -230,23 +232,20 @@ def _polish(st: StateSpace, rhs: np.ndarray, w: np.ndarray, rel_tol: float) -> t
     matrices alone, so its result is the same alone and in a stack."""
     n = st.A.shape[-1]
     A, C = st.A, st.C
+    rhs = np.stack([st.B, st.B, C.swapaxes(1, 2)], axis=1)
     w = np.array(w, dtype=float)
     # [lhs, lhs^2, lhs^T]: off the diagonal lhs is -A and lhs^T is -A^T;
-    # each step writes the diagonal i w - A_jj of both, and lhs^2
+    # each step writes the diagonal i w - A_jj of both, and lhs^2, through
+    # views of the current lhs.  np.empty and the boolean-mask copies of
+    # the compaction keep lhs C-contiguous, so its reshape is a view.
     lhs = np.empty((w.size, 3, n, n), dtype=complex)
     lhs[:, 0], lhs[:, 2] = -A, -A.swapaxes(1, 2)
     diag = np.diagonal(A, axis1=1, axis2=2)[:, None, :]
-
-    def views(lhs):
-        """lhs, lhs^2 and the diagonals of lhs and lhs^T, as views of lhs"""
-        return lhs[:, 0], lhs[:, 1], lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1]
-
-    lhs0, lhs1, diagonals = views(lhs)
     at = np.arange(w.size)  # the systems still stepping
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(HINF_POLISH_STEPS + 1):
-            np.subtract(1j * w[:, None, None], diag, out=diagonals)
-            np.matmul(lhs0, lhs0, out=lhs1)
+            np.subtract(1j * w[:, None, None], diag, out=lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1])
+            np.matmul(lhs[:, 0], lhs[:, 0], out=lhs[:, 1])
             x = np.linalg.solve(lhs, rhs)[..., 0]
             g = (C @ x[:, 0, :, None])[:, 0, 0]
             gain = np.abs(g)
@@ -271,21 +270,21 @@ def _polish(st: StateSpace, rhs: np.ndarray, w: np.ndarray, rel_tol: float) -> t
                     break
                 at, diag, C, rhs, lhs = at[go], diag[go], C[go], rhs[go], lhs[go]
                 g_best, w_best, w, delta = g_best[go], w_best[go], w[go], delta[go]
-                lhs0, lhs1, diagonals = views(lhs)
             w = w + delta
     out_g[at], out_w[at] = g_best, w_best
     return out_g, out_w
 
 
-def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
-                rel_tol: float) -> list:
-    """`hinf_norm` on every system of a stack of Hurwitz systems at once
-    (`_certificates` runs it for `certify`, a stack of one, and for the
-    sweeps): one (norm, frequency) per system, or the RuntimeError that ends
-    its iteration.
+def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
+    """`hinf_norm` on every system of the stack `st` at once, given its
+    `_spectra` (`_certificates` runs it for `certify`, a stack of one, and
+    for the sweeps): one (norm, frequency) per Hurwitz system, or the
+    RuntimeError that ends its iteration, and (nan, nan) per system that is
+    not Hurwitz, whose norm is undefined; those never reach a solve.
 
-    Each step picks one start per system still searching, with one
-    `_row_peaks` over all of them: first its best seed, later the best of
+    Only the Hurwitz systems are seeded and searched.  Each step picks one
+    start per system still searching, with one `_row_peaks` over all of
+    them: first its best seed, later the best of
     its crossings and the midpoints between consecutive ones, each list
     padded with repeats of its own entries to the longest.  A start whose
     gain does not exceed the system's `lo` (at the seeds -inf, so only a
@@ -294,19 +293,19 @@ def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
     no crossing ends with (hi, its polished frequency).  After the
     HINF_MAX_ITER-th test no crossings are measured, and a system still
     crossing fails with the level, `lo` and frequency of its last polish."""
-    k, n = eigenvalues.shape
-    lo, freq = _row_peaks(st, _seeds(eigenvalues))
-    hi = np.full(k, math.nan)
-    rhs = np.stack([st.B, st.B, st.C.swapaxes(1, 2)], axis=1)
-    out: list = [None] * k
-    zero = lo == 0.0
-    for i in np.flatnonzero(zero).tolist():
+    ev, abscissa, _, hurwitz = spectra
+    k, n = ev.shape
+    lo, freq, hi = np.full((3, k), math.nan)
+    out: list = [(math.nan, math.nan)] * k
+    rows = np.flatnonzero(hurwitz)  # the systems still searching
+    lo[rows], freq[rows] = _row_peaks(st.take(rows), _seeds(ev[rows]))
+    for i in rows[lo[rows] == 0.0].tolist():
         if not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
             # G == 0 iff every Markov parameter C A^p B, p < n, is zero
             out[i] = (0.0, 0.0)
         else:
             out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-    rows = np.flatnonzero(~zero)  # the systems still searching
+    rows = rows[lo[rows] != 0.0]
     best, start, floor = lo[rows], freq[rows], -math.inf
     for step in range(HINF_MAX_ITER):
         if step:
@@ -320,7 +319,7 @@ def _hinf_norms(st: StateSpace, eigenvalues: np.ndarray, abscissa: np.ndarray,
         rows, start = rows[raised], start[raised]
         if not rows.size:
             break
-        lo[rows], freq[rows] = _polish(st.take(rows), rhs[rows], start, rel_tol)
+        lo[rows], freq[rows] = _polish(st.take(rows), start, rel_tol)
         hi[rows] = (1.0 + rel_tol / 5.0) * lo[rows]
         crossings = _imag_axis_crossings(st.take(rows), hi[rows])
         crossed = np.array([c.size > 0 for c in crossings])
@@ -379,6 +378,17 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     from that same spectrum.  This is the stack of one of `_hinf_norms`,
     which `certify` and the sweeps run on their stacks.
 
+    Before the search B and C are balanced: B / beta and beta C with
+    beta = 2^round(log2(max |B| / max |C|) / 2), or 1 when that ratio is
+    zero, infinite or NaN.  Scaling by a power of two is exact, so G is the
+    same bit for bit.  The axis test's tolerance is relative to the largest
+    entry of the level-set matrix, whose blocks are A, B B^H / L and
+    C^H C / L; unbalanced, one coupling block can dwarf A and read stable
+    eigenvalues as crossings.  A `SystemModel` realization has beta = 1.  Balanced, the norm does not
+    change under B c, C / c or a change of time unit (A w, B w, C); a
+    badly scaled A itself, as from a diagonal similarity T A T^-1 with T
+    spread over many decades, can still defeat the test.
+
     rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
     the level-set eigenvalue pair is nearly double, so the float eigen test
     resolves a crossing only to about sqrt(eps) times the matrix scale,
@@ -394,11 +404,14 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
             "float level-set test: near the peak its eigenvalue pair is nearly double and "
             "resolves a crossing only to about sqrt(eps) times the matrix scale"
         )
-    st = StateSpace(_one_matrix(ss.A, "hinf_norm")[None], ss.B[None], ss.C[None])
-    ev, abscissa, _, hurwitz = _spectra(st.A)
-    if not hurwitz[0]:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.abs(ss.B).max(initial=0.0) / np.abs(ss.C).max(initial=0.0)
+    beta = 2.0 ** round(0.5 * math.log2(ratio)) if 0.0 < ratio < math.inf else 1.0
+    st = StateSpace(_one_matrix(ss.A, "hinf_norm")[None], ss.B[None] / beta, beta * ss.C[None])
+    spectra = _spectra(st.A)
+    if not spectra[3][0]:
         raise ValueError("norm undefined: A is not Hurwitz")
-    return _raised(_hinf_norms(st, ev, abscissa, rel_tol)[0])
+    return _raised(_hinf_norms(st, spectra, rel_tol)[0])
 
 
 def _decided(st: StateSpace, gamma_half: list, decide) -> list:
@@ -435,17 +448,15 @@ def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:
     ev, _, _, hurwitz = spectra
     half = np.asarray(gamma_half)
     rows = np.flatnonzero(hurwitz)
-    if rows.size:
-        try:  # each system at its own n frequencies
-            gains = _row_gains(st.take(rows), ev[rows].imag)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            rows = rows[~(gains >= half[rows, None]).any(axis=1)]
+    try:  # each system at its own n frequencies
+        gains = _row_gains(st.take(rows), ev[rows].imag)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        rows = rows[~(gains >= half[rows, None]).any(axis=1)]
     verdicts = [False] * len(gamma_half)
-    if rows.size:
-        for i, c in zip(rows.tolist(), _imag_axis_crossings(st.take(rows), half[rows])):
-            verdicts[i] = c.size == 0
+    for i, c in zip(rows.tolist(), _imag_axis_crossings(st.take(rows), half[rows])):
+        verdicts[i] = c.size == 0
     return verdicts
 
 
@@ -470,15 +481,9 @@ def _certificates(st: StateSpace, spectra, gamma_half: list, margin: float = 0.0
     """The `_decided` decision of `certify`: one StabilityCertificate per
     system of `st`, or the RuntimeError that ended its norm."""
     ev, abscissa, tol, hurwitz = spectra
-    rows = np.flatnonzero(hurwitz)
-    norms = [(math.nan, math.nan)] * len(gamma_half)
-    if rows.size:
-        found = _hinf_norms(st.take(rows), ev[rows], abscissa[rows], HINF_DEFAULT_REL_TOL)
-        for i, result in zip(rows.tolist(), found):
-            norms[i] = result
     out = []
-    for e, a, t, h, g, result in zip(ev.tolist(), abscissa.tolist(), tol.tolist(),
-                                     hurwitz.tolist(), gamma_half, norms):
+    for e, a, t, h, g, result in zip(ev.tolist(), abscissa.tolist(), tol.tolist(), hurwitz.tolist(),
+                                     gamma_half, _hinf_norms(st, spectra, HINF_DEFAULT_REL_TOL)):
         if isinstance(result, Exception):
             out.append(result)
             continue

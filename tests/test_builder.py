@@ -61,6 +61,10 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticForm(A)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^quadratic form must be 4x4, got \(3, 3\)$"):
+            QuadraticForm(np.zeros((3, 3)))
+
     def test_phi_diagonal_rejected(self):
         A = np.zeros((4, 4))
         A[3, 3] = 1.0

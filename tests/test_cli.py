@@ -43,6 +43,14 @@ class TestBuild:
         assert main(["build", *PARAM_FLAGS, "--out", str(dest), "--quiet"]) == EXIT_OK
         assert json.loads(dest.read_text()) == json.loads(paper_model.to_json())
 
+    @pytest.mark.parametrize("quiet", [["--quiet"], []], ids=["quiet", "default"])
+    def test_out_file_reported_unless_quiet(self, tmp_path, capsys, quiet):
+        dest = tmp_path / "m.json"
+        assert main(["build", *PARAM_FLAGS, "--out", str(dest), *quiet]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("" if quiet else f"wrote {dest}\n")
+
     def test_incomplete_params(self, capsys):
         with pytest.raises(SystemExit):
             main(["build", "--omega", "1.0"])
@@ -271,6 +279,15 @@ class TestSimulate:
                      "--out", str(traj), "--decay-out", str(decay),
                      "--quiet"]) == EXIT_OK
         assert len(traj.read_text().strip().split("\n")) == 1002
+
+    @pytest.mark.parametrize("quiet", [["--quiet"], []], ids=["quiet", "default"])
+    def test_written_files_reported_unless_quiet(self, model_file, tmp_path, capsys, quiet):
+        traj, decay = tmp_path / "t.csv", tmp_path / "d.json"
+        assert main(["simulate", "--model", model_file, "--t-end", "1e-11", "--dt", "1e-14",
+                     "--out", str(traj), "--decay-out", str(decay), *quiet]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("" if quiet else f"wrote {traj}\nwrote {decay}\n")
 
     def test_unstable_step_exit_one(self, model_file, tmp_path, capsys):
         assert main(["simulate", "--model", model_file, "--dt", "1.0",

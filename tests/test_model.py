@@ -1,10 +1,16 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import jjcavity as jc
-from jjcavity.model import j_matrix, sigma_matrix, validate_model
+from jjcavity.model import _decode_pairs, _encode_complex, j_matrix, sigma_matrix, validate_model
+
+
+def raises_exactly(kind, message):
+    """pytest.raises for `kind` with exactly `message`."""
+    return pytest.raises(kind, match=f"^{re.escape(message)}$")
 
 
 class TestJSigma:
@@ -60,6 +66,16 @@ class TestValidateModel:
                 n_modes=2, M=np.zeros((3, 3)), N=np.zeros((4, 4)),
                 Etilde=np.zeros((1, 4)), gamma=1.0,
             )
+
+    @pytest.mark.parametrize("n_modes, N, Etilde, message", [
+        (0, np.zeros((0, 0)), np.zeros(0), "n_modes must be >= 1, got 0"),
+        (2, np.zeros((4, 3)), np.zeros(4), "N must be 4x4, got (4, 3)"),
+        (2, np.zeros((4, 4)), np.zeros(3), "Etilde must be 1x4, got (1, 3)"),
+    ], ids=["n_modes", "N", "Etilde"])
+    def test_bad_shape_named(self, n_modes, N, Etilde, message):
+        M = np.zeros((2 * n_modes, 2 * n_modes))
+        with raises_exactly(ValueError, message):
+            jc.SystemModel(n_modes=n_modes, M=M, N=N, Etilde=Etilde, gamma=1.0)
 
     def test_bad_constants_reported(self):
         m = jc.SystemModel(
@@ -125,6 +141,14 @@ class TestPhysicalParams:
         with pytest.raises(TypeError):
             paper_params.replace(kappa3=1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("omega", 0.0, "omega must be positive, got 0.0"),
+        ("hbar", -1.0, "hbar must be positive, got -1.0"),
+    ])
+    def test_nonpositive_scale_rejected(self, paper_params, field, value, message):
+        with raises_exactly(ValueError, message):
+            paper_params.replace(**{field: value})
+
     def test_from_json_round_trip(self, paper_params):
         assert jc.PhysicalParams.from_json(paper_params.to_json()) == paper_params
 
@@ -159,6 +183,18 @@ class TestSerialization:
         again = jc.SystemModel.from_json(m.to_json())
         assert np.array_equal(again.M, m.M)
         assert np.array_equal(again.Etilde, m.Etilde)
+
+    def test_non_object_json_rejected(self):
+        with raises_exactly(ValueError, "model JSON must be an object, got list"):
+            jc.SystemModel.from_json("[1, 2]")
+
+    def test_unsupported_type_not_encoded(self):
+        with raises_exactly(TypeError, "set is not JSON serializable"):
+            _encode_complex({1.0})
+
+    def test_non_list_pairs_rejected(self):
+        with raises_exactly(ValueError, "--v0 must be a list of [re, im] pairs, got 3"):
+            _decode_pairs("--v0", 3)
 
     @pytest.mark.parametrize("edit, message", [
         ({"M": None}, "lacks key 'M'"),

@@ -353,9 +353,9 @@ def stall_sample():
             N.append(build_coupling(p.kappa1, float(k2)))
             Et.append(model.Etilde)
     st = stability._realization(2, np.array(M), np.array(N), np.array(Et))
-    ev, abscissa, _, hurwitz = stability._spectra(st.A)
-    assert hurwitz.all()
-    return st, ev, abscissa
+    spectra = stability._spectra(st.A)
+    assert spectra[3].all()
+    return st, spectra
 
 
 class TestRelTolFloor:
@@ -369,9 +369,70 @@ class TestRelTolFloor:
 
     @pytest.mark.parametrize("rel_tol", [stability.HINF_DEFAULT_REL_TOL, stability.HINF_MIN_REL_TOL])
     def test_no_stall_on_physical_sample(self, stall_sample, rel_tol):
-        st, ev, abscissa = stall_sample
-        failed = [r for r in stability._hinf_norms(st, ev, abscissa, rel_tol) if isinstance(r, Exception)]
+        st, spectra = stall_sample
+        failed = [r for r in stability._hinf_norms(st, spectra, rel_tol) if isinstance(r, Exception)]
         assert failed == []
+
+
+class TestRescaledRealization:
+    """`hinf_norm` reads G, not the way it is written: the paper
+    realization with B and C out of balance, or in another time unit, gives
+    the paper realization's norm, and an A with no entry near 1 is Hurwitz
+    by the relative rule alone."""
+
+    @pytest.fixture(scope="class")
+    def paper(self, paper_model):
+        ss = state_space(paper_model)
+        return ss, hinf_norm(ss)
+
+    @pytest.mark.parametrize("c", [1e4, 1e-4, 1e6, 1e-6, 1e8, 1e-8])
+    def test_input_output_split(self, paper, c):
+        ss, (norm, freq) = paper
+        got, at = hinf_norm(StateSpace(ss.A, ss.B * c, ss.C / c))
+        assert got == pytest.approx(norm, rel=2.3e-16, abs=0.0)
+        assert at == pytest.approx(freq, rel=1e-12)
+
+    @pytest.mark.parametrize("w", [1e-18, 1e-15, 1e-12, 1e-6, 1e6])
+    def test_time_unit(self, paper, w):
+        # C (sI - A w)^-1 B w = G(s / w): the same norm, at w times the frequency
+        ss, (norm, freq) = paper
+        got, at = hinf_norm(StateSpace(ss.A * w, ss.B * w, ss.C))
+        assert got == pytest.approx(norm, rel=2.3e-16, abs=0.0)
+        assert at == pytest.approx(w * freq, rel=1e-12)
+
+    @pytest.mark.parametrize("B, C", [([1.0, 1.0], [0.0, 0.0]), ([0.0, 0.0], [1.0, 1.0])], ids=["C", "B"])
+    def test_zero_map_is_not_balanced(self, B, C):
+        # with B or C zero there is no ratio to balance, and G == 0
+        assert hinf_norm(StateSpace(np.diag([-1.0, -2.0]), B, C)) == (0.0, 0.0)
+
+    def test_tiny_rates_are_hurwitz(self):
+        # G(s) = 1e-30 / (s + 1e-30) + 1e-30 / (s + 2e-30) peaks at G(0) = 1.5
+        ss = StateSpace(np.diag([-1.0, -2.0]) * 1e-30, np.full(2, 1e-30), np.ones(2))
+        assert is_hurwitz(ss.A)
+        assert hinf_norm(ss) == (pytest.approx(1.5 * (1.0 + stability.HINF_DEFAULT_REL_TOL / 5.0), rel=1e-15), 0.0)
+
+
+class TestNonHurwitzRows:
+    def test_undamped_row_takes_no_solve(self, paper_model, monkeypatch):
+        # N = 0 and a diagonal M: F = diag(-2i, -3i, 2i, 3i), so every
+        # seed Im lambda(F) is a pole of G and a solve there would raise
+        # LinAlgError.  `_hinf_norms` gives that row (nan, nan), and every
+        # solve it makes is on the paper row alone.
+        undamped = jc.SystemModel(n_modes=2, M=np.diag([2.0, 3.0, 2.0, 3.0]), N=np.zeros((4, 4)),
+                                  Etilde=build_zeta(), gamma=1.0)
+        want = hinf_norm(state_space(paper_model))
+        solve, rows = np.linalg.solve, []
+
+        def counted(a, b):
+            rows.append(len(a))
+            return solve(a, b)
+
+        st = realized([undamped, paper_model])
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        (norm, freq), paper = stability._hinf_norms(st, stability._spectra(st.A), stability.HINF_DEFAULT_REL_TOL)
+        assert np.isnan([norm, freq]).all()
+        assert paper == want
+        assert rows and set(rows) == {1}
 
 
 def realized(models):
@@ -402,12 +463,11 @@ class TestPolishStart:
         st = realized(models)
         ev = stability._spectra(st.A)[0]
         signed = np.abs(ev).max(axis=1, keepdims=True) * rng.uniform(-3.0, 3.0, (len(models), 8))
-        rhs = np.stack([st.B, st.B, st.C.swapaxes(1, 2)], axis=1)
         monkeypatch.setattr(stability, "HINF_POLISH_STEPS", 0)
         for w in (stability._seeds(ev), signed):
             want = stability._row_gains(st, w)
             for j in range(w.shape[1]):
-                gain, at = stability._polish(st, rhs, w[:, j], stability.HINF_DEFAULT_REL_TOL)
+                gain, at = stability._polish(st, w[:, j], stability.HINF_DEFAULT_REL_TOL)
                 assert gain.tolist() == want[:, j].tolist()
                 assert at.tolist() == w[:, j].tolist()
 
@@ -433,11 +493,10 @@ class TestRepeatedCrossings:
             return found
 
         st = realized(models)
-        ev, abscissa, _, _ = stability._spectra(st.A)
         with monkeypatch.context() as m:
             m.setattr(stability, "_imag_axis_crossings", forced)
             m.setattr(stability, "HINF_POLISH_STEPS", 0)
-            out = stability._hinf_norms(st, ev, abscissa, stability.HINF_DEFAULT_REL_TOL)
+            out = stability._hinf_norms(st, stability._spectra(st.A), stability.HINF_DEFAULT_REL_TOL)
         assert len(calls) >= 2
         return out
 

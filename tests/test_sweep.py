@@ -25,7 +25,7 @@ from jjcavity.sweep import (
 from conftest import random_params
 from test_closed_form import closed_form_threshold
 
-# frozen regression values (rel_tol 1e-3 bisection over [2e12, 2.4e12])
+# frozen regression values (rel_tol 1e-3 safeguarded Newton over [2e12, 2.4e12])
 THRESHOLD_KAPPA2 = 2169220554435.491
 SENSITIVITY_RATIO = 1.0057789522954417
 
@@ -182,13 +182,12 @@ class TestThresholdSafeguard:
 
     LO, HI, STAR = 1e11, 1e13, 2.1692e12
 
-    def run(self, paper_params, monkeypatch, caplog, log_excess, slope_of, verdict_shift=0.0):
-        """find_threshold where log(norm/(gamma/2)) = log_excess(log kappa2),
-        the seam reports slope_of(kappa2, norm, true slope) and the verdict
-        is the norm's, taken verdict_shift further along log kappa2; returns
-        kappa2*, the flip interval, the last verdict call and its verdicts,
-        the number of verification pairs, and the norm and bisection step
-        counts from the DEBUG record."""
+    def install(self, paper_params, monkeypatch, log_excess, slope_of, verdict_shift=0.0, pair=None):
+        """Seams where log(norm/(gamma/2)) = log_excess(log kappa2), the
+        norm's seam reports slope_of(kappa2, norm, true slope) and the
+        verdict is the norm's, taken verdict_shift further along log kappa2,
+        or `pair` for every verification pair when given; returns the list
+        of (kappa2 values, verdicts) of every verdict call."""
         gamma_half = build_model(paper_params).gamma / 2.0
         calls = []
 
@@ -200,12 +199,20 @@ class TestThresholdSafeguard:
             return norm(k2), slope_of(k2, norm(k2), (norm(k2 + h) - norm(k2 - h)) / (2 * h))
 
         def certified_at(base, ks):
-            calls.append(([float(k) for k in ks],
-                          [norm(k * math.exp(verdict_shift)) < gamma_half for k in ks]))
+            flags = [norm(k * math.exp(verdict_shift)) < gamma_half for k in ks]
+            calls.append(([float(k) for k in ks], flags if pair is None or len(ks) != 2 else pair))
             return calls[-1][1]
 
         monkeypatch.setattr(sweep, "_norm_at", norm_at)
         monkeypatch.setattr(sweep, "_certified_at", certified_at)
+        return calls
+
+    def run(self, paper_params, monkeypatch, caplog, log_excess, slope_of, verdict_shift=0.0):
+        """find_threshold on the seams of `install`; returns kappa2*, the
+        flip interval, the last verdict call and its verdicts, the number of
+        verification pairs, and the norm and bisection step counts from the
+        DEBUG record."""
+        calls = self.install(paper_params, monkeypatch, log_excess, slope_of, verdict_shift)
         with caplog.at_level(logging.DEBUG, logger="jjcavity.sweep"):
             star = find_threshold(paper_params, self.LO, self.HI)
         audit, flags = calls[0]
@@ -249,16 +256,39 @@ class TestThresholdSafeguard:
         assert bisections >= 8
         assert star == pytest.approx(self.STAR, rel=1e-3)
 
-    def test_failed_pair_shrinks_bracket(self, paper_params, monkeypatch, caplog):
-        # the verdict flips 1.5e-3 below the norm's root, three half-widths
-        # of the pair: the first pairs fail, and each moves the bracket
+    @pytest.mark.parametrize("verdict_shift", [1.5e-3, -1.5e-3], ids=["below", "above"])
+    def test_failed_pair_shrinks_bracket(self, paper_params, monkeypatch, caplog, verdict_shift):
+        # the verdict flips 1.5e-3 below (or above) the norm's root, three
+        # half-widths of the pair: the first pairs fail, both members
+        # certified (or both refused), and each moves that end of the bracket
         x_star = math.log(self.STAR)
         star, flip, last, pairs, _, _ = self.run(paper_params, monkeypatch, caplog,
                                                  lambda x: -1.5 * (x - x_star), lambda k2, n, d: d,
-                                                 verdict_shift=1.5e-3)
+                                                 verdict_shift=verdict_shift)
         self.check(star, flip, last)
         assert pairs >= 2
-        assert star == pytest.approx(self.STAR * math.exp(-1.5e-3), rel=1e-3)
+        assert star == pytest.approx(self.STAR * math.exp(-verdict_shift), rel=1e-3)
+
+    def test_inverted_pair_proves_non_monotone(self, paper_params, monkeypatch):
+        # the pair at kappa2* reads [True, False]: certified below, refused above
+        x_star = math.log(self.STAR)
+        self.install(paper_params, monkeypatch, lambda x: -1.5 * (x - x_star), lambda k2, n, d: d,
+                     pair=[True, False])
+        with pytest.raises(RuntimeError) as exc:
+            find_threshold(paper_params, self.LO, self.HI)
+        assert str(exc.value) == ("certified predicate is not monotone on the bracket: "
+                                  "certified at kappa2=2.168115e+12 but not at 2.170285e+12")
+
+    def test_out_of_norms_raises(self, paper_params, monkeypatch):
+        # with no slope every step bisects, and two norms leave a bracket
+        # wider than rel_tol
+        x_star = math.log(self.STAR)
+        self.install(paper_params, monkeypatch, lambda x: -1.5 * (x - x_star), lambda k2, n, d: 0.0)
+        monkeypatch.setattr(sweep, "THRESHOLD_MAX_NORMS", 2)
+        with pytest.raises(RuntimeError) as exc:
+            find_threshold(paper_params, self.LO, self.HI)
+        assert str(exc.value) == ("threshold search: no verified kappa2* after 2 norms; "
+                                  "bracket [2.069138e+12, 2.198393e+12]")
 
     def test_logging_left_unimported(self):
         # the record costs nothing until a caller imports logging
