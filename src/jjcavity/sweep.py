@@ -17,8 +17,14 @@ from .stability import (
     HINF_DEFAULT_REL_TOL,
     _certificates,
     _decided,
+    _hinf_norms,
+    _imag_axis_crossings,
+    _polish,
     _raised,
     _realization,
+    _row_peaks,
+    _seeds,
+    _spectra,
     _verdicts,
     state_space,
     transfer_eval,
@@ -27,11 +33,11 @@ from .stability import (
 from .stability import certify  # noqa: F401  (still reachable as sweep.certify; bench/tests checks its tracing)
 
 THRESHOLD_AUDIT_POINTS = 20
-#: norms after which `find_threshold` gives up, a safety net: on 300
-#: `random_params` draws it takes at most 4, and bisection alone takes 29
-#: from the widest flip interval of positive floats (log width about 75)
+#: tracked peaks after which `find_threshold` gives up, a safety net: on
+#: 300 `random_params` draws it takes at most 5, and bisection alone takes
+#: 29 from the widest flip interval of positive floats (log width about 75)
 #: down to the tightest step, rel_tol/4 = 2.5e-7
-THRESHOLD_MAX_NORMS = 100
+THRESHOLD_MAX_PEAKS = 100
 #: dF/dkappa2 as a column: the damping term of F is
 #: -(1/2) J N^dag J N = -diag(kappa1, kappa2, kappa1, kappa2)/2
 DF_DKAPPA2 = np.array([[0.0], [-0.5], [0.0], [-0.5]])
@@ -141,19 +147,22 @@ def _debug_logger():
     return None
 
 
-def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
-    """(||G||_inf, d||G||_inf / dkappa2) of the model at one junction
-    coupling value.
+def _peak_at(base: _Base, kappa2: float, w: float | None):
+    """(gain, w*, d gain / dkappa2, realization) of the model at one
+    junction coupling value: a peak of its gain tracked from the start
+    frequency w.
 
-    The norm is `certify`'s on the model with that kappa2 and the one
-    validated base build's M, Etilde and gamma (see `_sweep`), decided as a
-    stack of one by `_decided` with `_certificates`; the slope reuses its
-    realization F, B, C.  `find_threshold` calls this only after its audit
-    has decided rows on `base`, so the base is a validated model, and
-    kappa2 lies inside the flip interval, so its pair passes
-    `params.replace`.  The slope comes from the envelope theorem at the
-    peak frequency w*:
-    d||G||_inf/dkappa2 = Re(conj(G) C R E R B) / |G| with
+    The model is the one with that kappa2 and the one validated base
+    build's M, Etilde and gamma (see `_sweep`), realized as a stack of one.
+    Its gain is climbed by one `_polish` from w, or, when w is None, from
+    the `_row_peaks` pick among the `_seeds` of its spectrum, the start
+    `certify`'s norm search takes first.  The gain is a measured |G(i w*)|,
+    so a lower bound on the norm; it is the norm only if w* sits on the
+    highest peak, which `_norm_freq` checks.  `find_threshold` calls this
+    only after its audit has decided rows on `base`, so the base is a
+    validated model, and kappa2 lies inside the flip interval, so its pair
+    passes `params.replace`.  The slope comes from the envelope theorem at
+    w*: d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with
     R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
     stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
     calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
@@ -161,20 +170,32 @@ def _norm_at(base: _Base, kappa2: float) -> tuple[float, float]:
     certified end."""
     m = base.model
     st = _realization(m.n_modes, m.M, build_coupling(base.params.kappa1, kappa2)[None], m.Etilde[None])
-    cert = _raised(_decided(st, [m.gamma / 2.0], _certificates)[0])
+    start = _row_peaks(st, _seeds(_spectra(st.A)[0]))[1] if w is None else np.array([w])
+    gain, w = (float(v[0]) for v in _polish(st, start, HINF_DEFAULT_REL_TOL))
     F, B, C = st.A[0], st.B[0], st.C[0]
-    lhs = 1j * cert.hinf_freq * np.eye(len(F)) - F
+    lhs = 1j * w * np.eye(len(F)) - F
     rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
     g = (C @ rb).item()
     dg = (rc.conj().T @ (DF_DKAPPA2 * rb)).item()
-    return cert.hinf_norm, (g.conjugate() * dg).real / abs(g)
+    return gain, w, (g.conjugate() * dg).real / abs(g), st
+
+
+def _norm_freq(st, gain: float) -> float | None:
+    """None when `gain`, measured on the one system of `st`, lies within
+    HINF_DEFAULT_REL_TOL/5 of its norm: the level-set test at
+    (1 + HINF_DEFAULT_REL_TOL/5) gain finds no crossing, the test `certify`'s
+    norm search ends with.  Otherwise the gain sits on a lower, local peak,
+    and this is the frequency of the norm from one full `_hinf_norms`."""
+    if not _imag_axis_crossings(st, [(1.0 + HINF_DEFAULT_REL_TOL / 5.0) * gain])[0].size:
+        return None
+    return _raised(_hinf_norms(st, _spectra(st.A), HINF_DEFAULT_REL_TOL)[0])[1]
 
 
 def find_threshold(
     params: PhysicalParams, lo: float, hi: float, rel_tol: float = 1e-3
 ) -> float:
     """The coupling rate kappa2* where the certificate flips, by safeguarded
-    Newton on the norm inside the audit's flip interval.
+    Newton on a tracked peak of the gain inside the audit's flip interval.
 
     Requires certified(lo) = False and certified(hi) = True.  Monotonicity
     of the certified predicate is observed rather than proven, so a 20-point
@@ -183,31 +204,39 @@ def find_threshold(
     checks, and a certified point followed by an uncertified one raises
     RuntimeError.  The two audit points where the verdict flips bound the
     search.  From their geometric midpoint, Newton runs on
-    f(x) = log ||G||_inf - log(gamma/2) in x = log kappa2, with the norm and
-    its exact kappa2-derivative from `_norm_at`.  The sign of f shrinks the
-    bracket, and a step that would leave the bracket, or does not halve the
-    step before it, is a bisection step instead (||G||_inf is a max over
-    frequencies, so it is only piecewise smooth in kappa2).  Once a step is
-    below rel_tol/4, no more norms are computed: one stacked verdict call
-    at kappa2*(1 -+ rel_tol/2) must give [False, True], and kappa2* is
-    returned.  A failed pair shrinks the bracket to what the verdicts alone
-    have shown, and the search goes on from its midpoint.
+    f(x) = log gain - log(gamma/2) in x = log kappa2, with the gain of a
+    tracked peak and its exact kappa2-derivative from `_peak_at`: each step
+    polishes from the peak frequency of the step before, the first from the
+    seeds.  The sign of f shrinks the bracket, and a step that would leave
+    the bracket, or does not halve the step before it, is a bisection step
+    instead (the norm is a max over frequencies, so it is only piecewise
+    smooth in kappa2).  Once a step is below rel_tol/4, one level-set test
+    on that step's model checks that its tracked gain is the norm
+    (`_norm_freq`).  If it is not, the peak was a local one: tracking goes
+    on from the frequency of one full norm at the same kappa2, in the
+    bracket the verdicts alone have shown, since the gains of a local peak
+    may have shrunk it wrongly.  If it is, the step is taken and one
+    stacked verdict call at kappa2*(1 -+ rel_tol/2) must give
+    [False, True], and kappa2* is returned.  A failed pair shrinks the
+    bracket to what the verdicts alone have shown, and the search goes on
+    from its midpoint.
     F is affine in the coupling rates, so the model is built once: every
-    verdict and norm takes its N from its kappa2 and M, Etilde, gamma and
+    verdict and peak takes its N from its kappa2 and M, Etilde, gamma and
     the deltas from that one build (see `_sweep`).
 
-    rel_tol must lie in [HINF_DEFAULT_REL_TOL, 2) = [1e-6, 2): kappa2* comes
-    from the norm's upper bound, which lies up to about 2e-7 above the peak
-    and so biases kappa2* by about as much, and the lower verification
-    point kappa2*(1 - rel_tol/2) must stay positive."""
+    rel_tol must lie in [HINF_DEFAULT_REL_TOL, 2) = [1e-6, 2): the pair's
+    verdicts are float level-set tests, which near the flip resolve the gain
+    only to about HINF_MIN_REL_TOL = 1e-7 (see `hinf_norm`), and the lower
+    verification point kappa2*(1 - rel_tol/2) must stay positive."""
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need finite 0 < lo < hi, got lo={lo}, hi={hi}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if rel_tol < HINF_DEFAULT_REL_TOL:
         raise ValueError(
-            f"rel_tol {rel_tol:.3g} is below the floor {HINF_DEFAULT_REL_TOL:g}: kappa2* comes from "
-            "the norm's upper bound, which biases it by about 2e-7, so a tighter bracket cannot be verified"
+            f"rel_tol {rel_tol:.3g} is below the floor {HINF_DEFAULT_REL_TOL:g}: the verification pair's "
+            "verdicts are float level-set tests, which near the flip resolve the gain only to about 1e-7, "
+            "so a tighter bracket cannot be verified"
         )
     if rel_tol >= 2.0:
         raise ValueError(
@@ -233,36 +262,41 @@ def find_threshold(
     j = flags.index(True)
     flip = (float(audit[j - 1]), float(audit[j]))
     log_gamma_half = math.log(base.model.gamma / 2.0)
-    # [a, b]: the bracket the norm's sign shrinks; [va, vb]: what verdicts
-    # alone have shown, where a failed pair restarts the search
+    # [a, b]: the bracket the gain's sign shrinks; [va, vb]: what verdicts
+    # alone have shown, where a failed pair or a local peak restarts it
     va, vb = a, b = math.log(flip[0]), math.log(flip[1])
     x, last = (a + b) / 2.0, b - a
-    bisections = 0
-    for norms in range(1, THRESHOLD_MAX_NORMS + 1):
+    w, norms, bisections = None, 0, 0
+    for peaks in range(1, THRESHOLD_MAX_PEAKS + 1):
         kappa = math.exp(x)
-        norm, slope = _norm_at(base, kappa)
-        f = math.log(norm) - log_gamma_half
+        gain, w, slope, st = _peak_at(base, kappa, w)
+        f = math.log(gain) - log_gamma_half
         if f < 0.0:  # certified: kappa2* lies below
             b = x
         else:
             a = x
-        # d log||G|| / d log kappa2 = kappa slope / norm
-        step = -f * norm / (kappa * slope) if slope else math.nan
+        # d log gain / d log kappa2 = kappa slope / gain
+        step = -f * gain / (kappa * slope) if slope else math.nan
         if not (a < x + step < b and abs(step) <= last / 2.0):
             step = (a + b) / 2.0 - x
             bisections += 1
-        x, last = x + step, abs(step)
-        if last >= rel_tol / 4.0:
+        if abs(step) >= rel_tol / 4.0:
+            x, last = x + step, abs(step)
             continue
-        kappa = math.exp(x)
+        w_norm = _norm_freq(st, gain)
+        if w_norm is not None:  # a local peak: track the norm's from the same x
+            w, norms = w_norm, norms + 1
+            a, b, last = va, vb, vb - va
+            continue
+        kappa = math.exp(x + step)
         pair = [kappa * (1.0 - rel_tol / 2.0), kappa * (1.0 + rel_tol / 2.0)]
         below, above = _certified_at(base, pair)
         if not below and above:
             log = _debug_logger()
             if log is not None:
-                log.debug("find_threshold: flip interval [%.6e, %.6e], %d norms, "
+                log.debug("find_threshold: flip interval [%.6e, %.6e], %d tracked peaks, %d full norms, "
                           "%d bisection steps, verified [%.6e, %.6e]",
-                          *flip, norms, bisections, *pair)
+                          *flip, peaks, norms, bisections, *pair)
             return kappa
         if below:
             vb = min(vb, math.log(pair[0]))
@@ -277,7 +311,7 @@ def find_threshold(
         x, last = (a + b) / 2.0, b - a
         bisections += 1
     raise RuntimeError(
-        f"threshold search: no verified kappa2* after {THRESHOLD_MAX_NORMS} norms; "
+        f"threshold search: no verified kappa2* after {THRESHOLD_MAX_PEAKS} peaks; "
         f"bracket [{math.exp(a):.6e}, {math.exp(b):.6e}]"
     )
 

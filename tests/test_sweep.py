@@ -91,7 +91,7 @@ class TestFindThreshold:
             return 2e11 <= k2 < 4e11 or k2 >= 1e12
 
         monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
-        monkeypatch.setattr(sweep, "_norm_at", lambda base, k2: pytest.fail("norm after a failed audit"))
+        monkeypatch.setattr(sweep, "_peak_at", lambda base, k2, w: pytest.fail("peak after a failed audit"))
         audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
         k = int(np.searchsorted(audit, 4e11))
         with pytest.raises(RuntimeError, match="not monotone") as exc:
@@ -108,10 +108,12 @@ class TestFindThreshold:
             return k2 >= 2.1692e12
 
         monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
-        # the norm seam: gamma/2 at 2.1692e12, falling as 1/kappa2
+        # the peak seam: gamma/2 at 2.1692e12, falling as 1/kappa2, and the
+        # norm there
         gamma_half = build_model(paper_params).gamma / 2.0
-        monkeypatch.setattr(sweep, "_norm_at",
-                            lambda base, k2: (gamma_half * 2.1692e12 / k2, -gamma_half * 2.1692e12 / k2 ** 2))
+        monkeypatch.setattr(sweep, "_peak_at", lambda base, k2, w: (
+            gamma_half * 2.1692e12 / k2, 1.0, -gamma_half * 2.1692e12 / k2 ** 2, None))
+        monkeypatch.setattr(sweep, "_norm_freq", lambda st, gain: None)
         find_threshold(paper_params, lo, hi)
         assert len(set(seen)) == len(seen)
         assert seen[0] == lo and seen[sweep.THRESHOLD_AUDIT_POINTS - 1] == hi
@@ -129,7 +131,7 @@ class TestFindThreshold:
             if not certified(p, 1e11) and certified(p, 1e13):
                 cases.append(p)
         for p in cases:
-            assert find_threshold(p, 1e11, 1e13) == pytest.approx(closed_form_threshold(p), rel=1e-6)
+            assert find_threshold(p, 1e11, 1e13) == pytest.approx(closed_form_threshold(p), rel=1e-8)
 
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
     def test_verified_pair_on_draws(self, rel_tol):
@@ -142,8 +144,8 @@ class TestFindThreshold:
             assert is_certified(build_model(p.replace(kappa2=star * (1 + rel_tol / 2))))
 
     def test_rel_tol_floor(self, paper_params, monkeypatch):
-        # below the norm's bias a bracket cannot be verified, so the search
-        # is refused before any verdict
+        # below the resolution of the pair's float verdicts a bracket cannot
+        # be verified, so the search is refused before any verdict
         monkeypatch.setattr(sweep, "_certified_at", lambda base, ks: pytest.fail("audit ran"))
         for rel_tol in (1e-17, 9.9e-7):
             with pytest.raises(ValueError, match="below the floor 1e-06"):
@@ -152,72 +154,101 @@ class TestFindThreshold:
             with pytest.raises(ValueError, match="rel_tol must be below 2"):
                 find_threshold(paper_params, 2e12, 2.4e12, rel_tol=rel_tol)
 
-    def test_at_most_four_norms_on_draws(self, monkeypatch):
+    @staticmethod
+    def counting(monkeypatch):
+        """Per `find_threshold` call, one more entry in each list: its
+        tracked peaks, full norms and verification pairs."""
+        peaks, norms, pairs = [], [], []
+
+        def counted(f, counts, pair=False):
+            def call(*args):
+                counts[-1] += not pair or len(args[1]) == 2
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(sweep, "_peak_at", counted(sweep._peak_at, peaks))
+        monkeypatch.setattr(sweep, "_hinf_norms", counted(sweep._hinf_norms, norms))
+        monkeypatch.setattr(sweep, "_certified_at", counted(sweep._certified_at, pairs, pair=True))
+        return peaks, norms, pairs
+
+    def test_at_most_five_peaks_and_one_norm_on_draws(self, monkeypatch):
         # 300 random_params draws bracketed on [1e10, 1e14]: no search fails,
-        # none takes more than 4 norms after the audit, and the first
-        # verification pair holds
-        norm_at, certified_at, norms, pairs = sweep._norm_at, sweep._certified_at, [], []
-
-        def counted_norm(base, k2):
-            norms[-1] += 1
-            return norm_at(base, k2)
-
-        def counted_pairs(base, ks):
-            pairs[-1] += len(ks) == 2
-            return certified_at(base, ks)
-
-        monkeypatch.setattr(sweep, "_norm_at", counted_norm)
-        monkeypatch.setattr(sweep, "_certified_at", counted_pairs)
+        # none tracks more than 5 peaks or takes more than one full norm
+        # after the audit, and the first verification pair holds
+        peaks, norms, pairs = self.counting(monkeypatch)
         rng = np.random.default_rng(5)
         for _ in range(300):
-            norms.append(0)
-            pairs.append(0)
+            for counts in (peaks, norms, pairs):
+                counts.append(0)
             find_threshold(random_params(rng), 1e10, 1e14)
-        assert max(norms) <= 4 and pairs == [1] * 300
+        assert max(peaks) <= 5 and max(norms) <= 1 and pairs == [1] * 300
+
+    def test_local_peak_takes_one_norm(self, monkeypatch):
+        # the seventh seed-5 draw: the peak tracked from the seeds is a local
+        # one, so the check at convergence finds a crossing, and one full norm
+        # moves the tracker onto the highest peak
+        rng = np.random.default_rng(5)
+        p = [random_params(rng) for _ in range(7)][-1]
+        peaks, norms, pairs = self.counting(monkeypatch)
+        for counts in (peaks, norms, pairs):
+            counts.append(0)
+        star = find_threshold(p, 1e10, 1e14)
+        assert norms == [1] and pairs == [1]
+        assert star == pytest.approx(closed_form_threshold(p), rel=1e-8)
 
 
 class TestThresholdSafeguard:
-    """The search on synthetic norms: the step falls back to bisection, and
+    """The search on synthetic peaks: the step falls back to bisection, and
     the answer still carries a verified pair inside the flip interval."""
 
     LO, HI, STAR = 1e11, 1e13, 2.1692e12
 
-    def install(self, paper_params, monkeypatch, log_excess, slope_of, verdict_shift=0.0, pair=None):
+    def install(self, paper_params, monkeypatch, log_excess, slope_of, verdict_shift=0.0, pair=None,
+                local=0.0):
         """Seams where log(norm/(gamma/2)) = log_excess(log kappa2), the
-        norm's seam reports slope_of(kappa2, norm, true slope) and the
+        peak's seam reports slope_of(kappa2, norm, true slope) and the
         verdict is the norm's, taken verdict_shift further along log kappa2,
-        or `pair` for every verification pair when given; returns the list
-        of (kappa2 values, verdicts) of every verdict call."""
+        or `pair` for every verification pair when given.  A peak tracked
+        from any frequency but "norm" is a local one, a factor
+        exp(-local) below the norm; the check reports the norm's frequency
+        "norm" for it when `local` is nonzero.  Returns the list of
+        (kappa2 values, verdicts) of every verdict call."""
         gamma_half = build_model(paper_params).gamma / 2.0
         calls = []
 
         def norm(k2):
             return gamma_half * math.exp(log_excess(math.log(k2)))
 
-        def norm_at(base, k2):
+        def peak_at(base, k2, w):
             h = 1e-7 * k2
-            return norm(k2), slope_of(k2, norm(k2), (norm(k2 + h) - norm(k2 - h)) / (2 * h))
+            scale = 1.0 if w == "norm" else math.exp(-local)
+            slope = slope_of(k2, norm(k2), (norm(k2 + h) - norm(k2 - h)) / (2 * h))
+            return scale * norm(k2), w, scale * slope, w
+
+        def norm_freq(st, gain):
+            return None if st == "norm" or not local else "norm"
 
         def certified_at(base, ks):
             flags = [norm(k * math.exp(verdict_shift)) < gamma_half for k in ks]
             calls.append(([float(k) for k in ks], flags if pair is None or len(ks) != 2 else pair))
             return calls[-1][1]
 
-        monkeypatch.setattr(sweep, "_norm_at", norm_at)
+        monkeypatch.setattr(sweep, "_peak_at", peak_at)
+        monkeypatch.setattr(sweep, "_norm_freq", norm_freq)
         monkeypatch.setattr(sweep, "_certified_at", certified_at)
         return calls
 
-    def run(self, paper_params, monkeypatch, caplog, log_excess, slope_of, verdict_shift=0.0):
+    def run(self, paper_params, monkeypatch, caplog, log_excess, slope_of, verdict_shift=0.0, local=0.0):
         """find_threshold on the seams of `install`; returns kappa2*, the
         flip interval, the last verdict call and its verdicts, the number of
-        verification pairs, and the norm and bisection step counts from the
-        DEBUG record."""
-        calls = self.install(paper_params, monkeypatch, log_excess, slope_of, verdict_shift)
+        verification pairs, and the full norm and bisection step counts
+        from the DEBUG record."""
+        calls = self.install(paper_params, monkeypatch, log_excess, slope_of, verdict_shift, local=local)
         with caplog.at_level(logging.DEBUG, logger="jjcavity.sweep"):
             star = find_threshold(paper_params, self.LO, self.HI)
         audit, flags = calls[0]
         j = flags.index(True)
-        norms, bisections = map(int, re.search(r"(\d+) norms, (\d+) bisection",
+        norms, bisections = map(int, re.search(r"\d+ tracked peaks, (\d+) full norms, (\d+) bisection",
                                                caplog.records[-1].getMessage()).groups())
         return star, (audit[j - 1], audit[j]), calls[-1], len(calls) - 1, norms, bisections
 
@@ -269,6 +300,19 @@ class TestThresholdSafeguard:
         assert pairs >= 2
         assert star == pytest.approx(self.STAR * math.exp(-verdict_shift), rel=1e-3)
 
+    def test_local_peak_resets_the_bracket(self, paper_params, monkeypatch, caplog):
+        # the peak tracked from the seeds lies 3% below the norm, so the
+        # search converges below kappa2*, where the check finds a crossing;
+        # the bracket its local gains shrank excludes kappa2*, and only the
+        # reset to the flip interval lets the first pair hold
+        x_star = math.log(self.STAR)
+        star, flip, last, pairs, norms, _ = self.run(paper_params, monkeypatch, caplog,
+                                                     lambda x: -1.5 * (x - x_star), lambda k2, n, d: d,
+                                                     local=0.03)
+        self.check(star, flip, last)
+        assert norms == 1 and pairs == 1
+        assert star == pytest.approx(self.STAR, rel=1e-3)
+
     def test_inverted_pair_proves_non_monotone(self, paper_params, monkeypatch):
         # the pair at kappa2* reads [True, False]: certified below, refused above
         x_star = math.log(self.STAR)
@@ -279,15 +323,15 @@ class TestThresholdSafeguard:
         assert str(exc.value) == ("certified predicate is not monotone on the bracket: "
                                   "certified at kappa2=2.168115e+12 but not at 2.170285e+12")
 
-    def test_out_of_norms_raises(self, paper_params, monkeypatch):
-        # with no slope every step bisects, and two norms leave a bracket
+    def test_out_of_peaks_raises(self, paper_params, monkeypatch):
+        # with no slope every step bisects, and two peaks leave a bracket
         # wider than rel_tol
         x_star = math.log(self.STAR)
         self.install(paper_params, monkeypatch, lambda x: -1.5 * (x - x_star), lambda k2, n, d: 0.0)
-        monkeypatch.setattr(sweep, "THRESHOLD_MAX_NORMS", 2)
+        monkeypatch.setattr(sweep, "THRESHOLD_MAX_PEAKS", 2)
         with pytest.raises(RuntimeError) as exc:
             find_threshold(paper_params, self.LO, self.HI)
-        assert str(exc.value) == ("threshold search: no verified kappa2* after 2 norms; "
+        assert str(exc.value) == ("threshold search: no verified kappa2* after 2 peaks; "
                                   "bracket [2.069138e+12, 2.198393e+12]")
 
     def test_logging_left_unimported(self):
@@ -307,7 +351,7 @@ class TestThresholdSafeguard:
         (record,) = caplog.records
         msg = record.getMessage()
         assert msg.startswith("find_threshold: flip interval [")
-        assert " norms, 0 bisection steps, verified [" in msg
+        assert " tracked peaks, 0 full norms, 0 bisection steps, verified [" in msg
 
 
 class TestBode:
@@ -561,10 +605,10 @@ class TestEigvalsCount:
         # by a gain measured at Im lambda(F), so only 7 take the level-set test
         n = sweep.THRESHOLD_AUDIT_POINTS
         assert shapes[:2] == [(n, 4, 4), (7, 8, 8)]
-        # then the norms, one model each, and last the verification pair
-        assert shapes[2] == (1, 4, 4) and all(s[0] == 1 for s in shapes[2:-2])
-        assert shapes[-2:] == [(2, 4, 4), (2, 8, 8)]
-        assert sum(s[0] for s in shapes if s[1:] == (8, 8)) == 12
+        # then the spectrum that seeds the first tracked peak, the one check
+        # that the last peak is the norm, and the verification pair
+        assert shapes[2:] == [(1, 4, 4), (1, 8, 8), (2, 4, 4), (2, 8, 8)]
+        assert sum(s[0] for s in shapes if s[1:] == (8, 8)) == 10
 
 
 class TestBuildCount:
