@@ -110,13 +110,15 @@ def estimate_decay(traj: Trajectory) -> DecayEstimate:
     sum(tc (y - mean(y))) / sum(tc^2), and fit_residual is the sum of the
     squared residuals."""
     ns = traj.norm_sq
+    if traj.t.shape != ns.shape:
+        raise ValueError(f"need one time per sample: t shape {traj.t.shape}, {ns.size} samples")
     if ns[0] == 0.0 or not np.any(ns > 0.0):
         raise ValueError("trajectory norm is identically zero; nothing to fit")
     keep = ns > FIT_FLOOR_REL * ns[0]
-    # truncate at the first sample that hits the floor (or exact zero)
-    if not keep.all():
-        keep[int(np.argmin(keep)):] = False
-    t, y = traj.t[keep], np.log(ns[keep])
+    # the window ends before the first sample that hits the floor (or exact
+    # zero): slices, where boolean masks would copy t and norm^2
+    stop = len(ns) if keep.all() else int(np.argmin(keep))
+    t, y = traj.t[:stop], np.log(ns[:stop])
     if t.size < 10:
         raise ValueError(f"need at least 10 usable samples, got {t.size}")
     t_mean, y_mean = t.mean(), y.mean()

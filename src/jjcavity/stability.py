@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,15 +92,26 @@ class StabilityCertificate:
         return json.dumps(d, default=_encode_complex)
 
 
+@lru_cache(maxsize=16)
+def _constants(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J, Sigma and J Sigma of order n_modes, read-only, since every
+    realization of that order shares them."""
+    J = j_matrix(n_modes)
+    sig = sigma_matrix(n_modes)
+    out = (J, sig, J @ sig)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray) -> StateSpace:
     """The realization (A, B, C) of the perturbation channel of one model,
     or of each model of a stack of one order n:
     A = F = -i J M - (1/2) J N^dag J N, B = J Sigma Etilde^T,
     C = Etilde# Sigma, D = 0."""
-    J = j_matrix(n_modes)
-    sig = sigma_matrix(n_modes)
+    J, sig, J_sig = _constants(n_modes)
     F = -1j * (J @ M) - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N)
-    return StateSpace(F, J @ sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig)
+    return StateSpace(F, J_sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig)
 
 
 def build_F(model: SystemModel) -> np.ndarray:

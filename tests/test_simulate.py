@@ -183,6 +183,12 @@ class TestEstimateDecay:
         assert est.t_window[1] < 10.0
         assert est.c2 == pytest.approx(8.0, rel=1e-6)
 
+    @pytest.mark.parametrize("n_t", [20, 40])
+    def test_times_and_samples_must_match(self, n_t):
+        traj = Trajectory(t=np.linspace(0.0, 1.0, n_t), v=np.ones((30, 2), dtype=complex))
+        with pytest.raises(ValueError, match="one time per sample"):
+            estimate_decay(traj)
+
     def test_constant_time_rejected(self):
         traj = Trajectory(t=np.zeros(20), v=np.ones((20, 2), dtype=complex))
         with pytest.raises(ValueError, match="distinct"):
@@ -215,6 +221,19 @@ class TestClosedFormFit:
     def test_floor_truncated(self):
         traj = integrate_mean(np.array([[-4.0]]), [1.0], t_end=10.0, dt=0.01)
         assert traj.t[-1] == 10.0 and estimate_decay(traj).t_window[1] < 10.0
+        self.assert_matches_polyfit(traj)
+
+    def test_window_ends_before_first_dip(self):
+        # norm^2 = exp(-60 t) falls through the floor between t = 0.46 and
+        # 0.465, and is back at 1 from t = 0.5: the fit keeps only the
+        # samples before the first dip
+        t = np.linspace(0.0, 1.0, 201)
+        ns = np.where(t < 0.5, np.exp(-60.0 * t), 1.0)
+        assert ns[92] > FIT_FLOOR_REL >= ns[93] and ns[-1] > FIT_FLOOR_REL
+        traj = Trajectory(t=t, v=np.sqrt(ns)[:, None].astype(complex))
+        est = estimate_decay(traj)
+        assert est.t_window == (0.0, float(t[92]))
+        assert est.c2 == pytest.approx(60.0, rel=1e-12)
         self.assert_matches_polyfit(traj)
 
     def test_noisy_line(self):

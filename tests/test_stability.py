@@ -543,6 +543,18 @@ class TestCertify:
         assert cert.hurwitz
         assert not cert.certified
 
+    def test_mutated_constant_matrices_leave_certify_unchanged(self, paper_model):
+        # the realization keeps its own read-only J and Sigma per order;
+        # the public builders hand out fresh, writable copies
+        before = certify(paper_model)
+        for make in (jc.j_matrix, jc.sigma_matrix):
+            mat = make(2)
+            assert mat.flags.writeable and mat is not make(2)
+            mat[:] = 7.0
+            assert not np.array_equal(make(2), mat)
+        after = certify(paper_model)
+        assert repr(after) == repr(before)
+
     def test_zero_model_not_certified(self):
         m = jc.SystemModel(
             n_modes=2, M=np.zeros((4, 4)), N=np.zeros((4, 4)),

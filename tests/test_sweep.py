@@ -14,6 +14,7 @@ from jjcavity import model as jmodel
 from jjcavity.builder import build_coupling, build_model
 from jjcavity.stability import build_F, certify, is_certified, state_space
 from jjcavity.sweep import (
+    BodeRow,
     SweepRecord,
     bode_csv,
     find_threshold,
@@ -384,6 +385,27 @@ class TestBode:
             assert all(r.error is None for r in rows)
             assert [repr(dataclasses.astuple(r)) for r in rows] == \
                 [repr(dataclasses.astuple(r)) for r in alone]
+
+    def test_row_is_a_frozen_hashable_record(self, paper_model):
+        row = bode_csv(paper_model, 1e10, 1e13, 5)[2]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.magnitude = 0.0
+        assert hash(row) == hash(BodeRow(row.omega, row.magnitude, row.phase))
+        # the benchmark's crosscheck gate perturbs rows this way
+        bumped = dataclasses.replace(row, magnitude=2.0 * row.magnitude)
+        assert type(bumped) is BodeRow
+        assert (bumped.omega, bumped.magnitude, bumped.phase, bumped.error) == \
+            (row.omega, 2.0 * row.magnitude, row.phase, None)
+
+    def test_row_fields_and_construction(self):
+        # the CLI's bode columns are these field names, in this order
+        assert [f.name for f in dataclasses.fields(BodeRow)] == \
+            ["omega", "magnitude", "phase", "error"]
+        row = BodeRow(1.0, 2.0, 3.0)
+        assert row.error is None
+        assert row == BodeRow(omega=1.0, magnitude=2.0, phase=3.0, error=None)
+        assert BodeRow(1.0, 2.0, 3.0, "x") == BodeRow(phase=3.0, omega=1.0, error="x", magnitude=2.0)
+        assert BodeRow(1.0, 2.0, 3.0, "x") != row
 
     def test_singular_frequency_is_an_error_row(self):
         from jjcavity.builder import build_zeta
