@@ -73,14 +73,19 @@ def _load_model(args) -> SystemModel:
         return SystemModel.from_json(fh.read())
 
 
+def _write(path: str, text: str, args) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    if not args.quiet:
+        print(f"wrote {path}", file=sys.stderr)
+
+
 def _emit(text: str, args) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        if not args.quiet:
-            print(f"wrote {args.out}", file=sys.stderr)
+        _write(args.out, text, args)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
 
 
 def _emit_table(columns: list[str], rows, args) -> None:
@@ -172,10 +177,7 @@ def cmd_simulate(args) -> int:
     _emit(format_csv(header, rows), args)
     est = estimate_decay(traj)
     decay_path = args.decay_out or ((args.out or "trajectory.csv") + ".decay.json")
-    with open(decay_path, "w") as fh:
-        fh.write(est.to_json() + "\n")
-    if not args.quiet:
-        print(f"wrote {decay_path}", file=sys.stderr)
+    _write(decay_path, est.to_json() + "\n", args)
     return EXIT_OK
 
 
@@ -201,44 +203,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="build a SystemModel from physical constants")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # the summary heads the command's own --help as well as the list
+        return sub.add_parser(name, help=summary, description=summary)
+
+    p = command("build", "build a SystemModel from physical constants")
     _add_common(p); _add_param_flags(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("certify", help="evaluate the strict bounded-real certificate")
+    p = command("certify", "evaluate the strict bounded-real certificate")
     _add_common(p, model=True)
     p.add_argument("--margin", type=float, default=0.0,
                    help="extra fractional safety margin on gamma/2")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("sweep", help="sweep the junction coupling rate")
+    p = command("sweep", "sweep the junction coupling rate")
     _add_common(p, table=True); _add_param_flags(p)
     p.add_argument("--kappa2-grid", required=True, metavar="lo:hi:n",
                    help="log-spaced kappa2 grid")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("threshold", help="find the certification threshold in kappa2 by Newton on "
-                                         "the norm, with a verified bracket")
+    p = command("threshold", "find the certification threshold in kappa2 by safeguarded Newton "
+                             "on a tracked peak of the gain, with a verified bracket")
     _add_common(p); _add_param_flags(p)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-3)
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("bode", help="emit magnitude/phase frequency-response data")
+    p = command("bode", "emit magnitude/phase frequency-response data")
     _add_common(p, model=True, table=True)
     p.add_argument("--omega-lo", type=float, required=True)
     p.add_argument("--omega-hi", type=float, required=True)
     p.add_argument("--points", type=int, default=400)
     p.set_defaults(func=cmd_bode)
 
-    p = sub.add_parser("sensitivity", help="H-infinity norm across cavity coupling values")
+    p = command("sensitivity", "H-infinity norm across cavity coupling values")
     _add_common(p, table=True); _add_param_flags(p)
     p.add_argument("--kappa1-grid", required=True, metavar="lo:hi:n")
     p.add_argument("--kappa2-fixed", type=float, required=True)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("simulate", help="integrate the mean dynamics and fit the decay")
+    p = command("simulate", "integrate the mean dynamics and fit the decay")
     _add_common(p, model=True)
     p.add_argument("--t-end", type=float)
     p.add_argument("--dt", type=float)
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay-out", help="path for the DecayEstimate JSON footer")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify-sector", help="check the sector bounds for the cosine nonlinearity")
+    p = command("verify-sector", "check the sector bounds for the cosine nonlinearity")
     _add_common(p)
     p.add_argument("--Jp", type=float, required=True)
     p.add_argument("--gamma", type=float, help="default 1/(2 Jp)")

@@ -170,6 +170,15 @@ def _invalid(violations: list[str]) -> ValueError:
     return ValueError("model fails structural validation: " + "; ".join(violations))
 
 
+def _validated(model: SystemModel) -> SystemModel:
+    """`model`, once `validate_model` finds no violation; otherwise their
+    `_invalid` error is raised."""
+    violations = validate_model(model)
+    if violations:
+        raise _invalid(violations)
+    return model
+
+
 def validate_model(model: SystemModel) -> list[str]:
     """Return the list of structural violations (empty iff the model is valid).
 

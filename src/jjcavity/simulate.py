@@ -65,11 +65,15 @@ def integrate_mean(F: np.ndarray, v0: np.ndarray, t_end: float, dt: float) -> Tr
     """Classic 4th-order explicit integration of dv/dt = F v, sampled every
     dt.  On a linear system the four stages are one step matrix: v <- P v,
     so a block of `STEP_BLOCK` samples is P^j v, j = 1..STEP_BLOCK: one
-    (STEP_BLOCK n x n) matrix-vector product with the powers stacked by row."""
+    (STEP_BLOCK n x n) matrix-vector product with the powers stacked by row.
+    A NaN or infinite entry of F or v0 raises ValueError before any step."""
     F = np.asarray(F, dtype=complex)
     v0 = np.asarray(v0, dtype=complex).reshape(-1)
     if F.shape != (v0.size, v0.size):
         raise ValueError(f"F shape {F.shape} incompatible with v0 of size {v0.size}")
+    for name, x in (("F", F), ("v0", v0)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} has a non-finite entry")
     if not 0 < dt <= t_end < np.inf:
         raise ValueError(f"need finite 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
     scale = float(np.max(np.abs(F)))

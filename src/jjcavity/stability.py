@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .model import SystemModel, _encode_complex, _invalid, j_matrix, sigma_matrix, validate_model
+from .model import SystemModel, _encode_complex, _validated, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
 #: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
@@ -104,24 +104,24 @@ def _constants(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _realization(n_modes: int, M: np.ndarray, N: np.ndarray, Etilde: np.ndarray) -> StateSpace:
+def _realization(M: np.ndarray, N: np.ndarray, Etilde: np.ndarray) -> StateSpace:
     """The realization (A, B, C) of the perturbation channel of one model,
-    or of each model of a stack of one order n:
+    or of each model of a stack of one order, n modes from the 2n x 2n M:
     A = F = -i J M - (1/2) J N^dag J N, B = J Sigma Etilde^T,
     C = Etilde# Sigma, D = 0."""
-    J, sig, J_sig = _constants(n_modes)
+    J, sig, J_sig = _constants(M.shape[-1] // 2)
     F = -1j * (J @ M) - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N)
     return StateSpace(F, J_sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig)
 
 
 def build_F(model: SystemModel) -> np.ndarray:
     """F = -i J M - (1/2) J N^dag J N."""
-    return _realization(model.n_modes, model.M, model.N, model.Etilde).A
+    return _realization(model.M, model.N, model.Etilde).A
 
 
 def state_space(model: SystemModel) -> StateSpace:
     """The transfer-function realization of the perturbation channel."""
-    return _realization(model.n_modes, model.M, model.N, model.Etilde)
+    return _realization(model.M, model.N, model.Etilde)
 
 
 def _one_matrix(A, caller: str) -> np.ndarray:
@@ -238,7 +238,7 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     rose, so every gain returned is a measured one.  A system stops at the
     first step that does not raise its gain, once a Newton step promises a
     rise below rel_tol/1000 (far inside the gap rel_tol/5 that the
-    level-set test at hi = (1 + rel_tol/5) lo leaves), or after
+    level-set test at `_proof_level` leaves), or after
     HINF_POLISH_STEPS steps.  Which of these it meets depends on its own
     matrices alone, so its result is the same alone and in a stack."""
     n = st.A.shape[-1]
@@ -261,11 +261,10 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
             g = (C @ x[:, 0, :, None])[:, 0, 0]
             gain = np.abs(g)
             if step:
-                go = gain > g_best
-                g_best, w_best = np.where(go, gain, g_best), np.where(go, w, w_best)
+                go = gain > g_best[at]
+                g_best[at[go]], w_best[at[go]] = gain[go], w[go]
             else:
                 go, g_best, w_best = True, gain, w
-                out_g, out_w = gain, w
             if step == HINF_POLISH_STEPS:
                 break
             a, b = (x[:, :2] @ x[:, 2, :, None])[..., 0].T / g
@@ -276,14 +275,20 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
                 delta = np.where(flat, -(a / b).imag, delta)
             go = go & ((a.imag * delta > 1e-3 * rel_tol) | flat) & np.isfinite(delta)
             if not go.all():
-                out_g[at], out_w[at] = g_best, w_best
                 if not go.any():
                     break
                 at, diag, C, rhs, lhs = at[go], diag[go], C[go], rhs[go], lhs[go]
-                g_best, w_best, w, delta = g_best[go], w_best[go], w[go], delta[go]
+                w, delta = w[go], delta[go]
             w = w + delta
-    out_g[at], out_w[at] = g_best, w_best
-    return out_g, out_w
+    return g_best, w_best
+
+
+def _proof_level(lo, rel_tol: float):
+    """hi = (1 + rel_tol/5) lo, for a measured gain `lo`: a level-set test
+    at hi that finds no crossing proves the norm lies in [lo, hi].  The
+    norm search ends with this test, and `sweep._norm_freq` checks a
+    tracked peak with it."""
+    return (1.0 + rel_tol / 5.0) * lo
 
 
 def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
@@ -300,9 +305,9 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     padded with repeats of its own entries to the longest.  A start whose
     gain does not exceed the system's `lo` (at the seeds -inf, so only a
     NaN) ends it with `_failed`.  The others take one `_polish` and then
-    one stacked level-set test at hi = (1 + rel_tol/5) lo; a system with
-    no crossing ends with (hi, its polished frequency).  After the
-    HINF_MAX_ITER-th test no crossings are measured, and a system still
+    one stacked level-set test at hi = `_proof_level(lo, rel_tol)`; a
+    system with no crossing ends with (hi, its polished frequency).  After
+    the HINF_MAX_ITER-th test no crossings are measured, and a system still
     crossing fails with the level, `lo` and frequency of its last polish."""
     ev, abscissa, _, hurwitz = spectra
     k, n = ev.shape
@@ -331,7 +336,7 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
         if not rows.size:
             break
         lo[rows], freq[rows] = _polish(st.take(rows), start, rel_tol)
-        hi[rows] = (1.0 + rel_tol / 5.0) * lo[rows]
+        hi[rows] = _proof_level(lo[rows], rel_tol)
         crossings = _imag_axis_crossings(st.take(rows), hi[rows])
         crossed = np.array([c.size > 0 for c in crossings])
         for i in rows[~crossed].tolist():
@@ -441,10 +446,8 @@ def _decided(st: StateSpace, gamma_half: list, decide) -> list:
 def _stack_of_one(model: SystemModel) -> StateSpace:
     """The realization of `model` as a stack of one system, for
     `_decided`; a model with structural violations raises their error."""
-    violations = validate_model(model)
-    if violations:
-        raise _invalid(violations)
-    return _realization(model.n_modes, model.M[None], model.N[None], model.Etilde[None])
+    m = _validated(model)
+    return _realization(m.M[None], m.N[None], m.Etilde[None])
 
 
 def _verdicts(st: StateSpace, spectra, gamma_half: list) -> list[bool]:

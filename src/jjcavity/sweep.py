@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .builder import build_coupling, build_model
-from .model import SystemModel, _invalid, validate_model
+from .model import SystemModel, _validated
 from .params import PhysicalParams
 from .stability import (
     HINF_DEFAULT_REL_TOL,
@@ -20,6 +20,7 @@ from .stability import (
     _hinf_norms,
     _imag_axis_crossings,
     _polish,
+    _proof_level,
     _raised,
     _realization,
     _row_peaks,
@@ -87,11 +88,17 @@ class _Base(NamedTuple):
 
 def _base(params: PhysicalParams) -> _Base:
     try:
-        model = build_model(params)
+        return _Base(params, _validated(build_model(params)))
     except Exception as exc:  # every row's result, after its own coupling check
         return _Base(params, exc)
-    violations = validate_model(model)
-    return _Base(params, _invalid(violations) if violations else model)
+
+
+def _rows(model: SystemModel, kappa1, kappa2):
+    """The realization of `model` at each pair of the broadcast rate arrays
+    `kappa1` and `kappa2`: N from one `build_coupling` call, M and Etilde
+    from `model` (see `_sweep`)."""
+    N = build_coupling(kappa1, kappa2)
+    return _realization(model.M, N, np.broadcast_to(model.Etilde, N.shape[:-2] + model.Etilde.shape))
 
 
 def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
@@ -105,11 +112,11 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)).  So
     only N changes from row to row.  M, Etilde, gamma and the deltas come
     from the one build in `base`, validated once there.  The pairs that
-    `params.replace` accepts, both rates finite and nonnegative, take their
-    N from one broadcast `build_coupling` call and are decided as one
-    stack, or all carry the base build's error.  Any other pair carries the
-    error of `params.replace(kappa1=..., kappa2=...)` on it, ahead of any
-    error from the base build."""
+    `params.replace` accepts, both rates finite and nonnegative, are
+    realized by one `_rows` call and decided as one stack, or all carry the
+    base build's error.  Any other pair carries the error of
+    `params.replace(kappa1=..., kappa2=...)` on it, ahead of any error from
+    the base build."""
     k1, k2 = np.broadcast_arrays(np.asarray(kappa1, dtype=float), np.asarray(kappa2, dtype=float))
     good = np.isfinite(k1) & np.isfinite(k2) & (k1 >= 0.0) & (k2 >= 0.0)
     out: list = [base.model] * k1.size
@@ -121,8 +128,7 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     rows = np.flatnonzero(good)
     m = base.model
     if rows.size and not isinstance(m, Exception):
-        Etilde = np.broadcast_to(m.Etilde, (rows.size,) + m.Etilde.shape)
-        st = _realization(m.n_modes, m.M, build_coupling(k1[rows], k2[rows]), Etilde)
+        st = _rows(m, k1[rows], k2[rows])
         for i, result in zip(rows.tolist(), _decided(st, [m.gamma / 2.0] * rows.size, decide)):
             out[i] = result
     return out
@@ -168,7 +174,7 @@ def _peak_at(base: _Base, kappa2: float, w: float | None):
     frequency w.
 
     The model is the one with that kappa2 and the one validated base
-    build's M, Etilde and gamma (see `_sweep`), realized as a stack of one.
+    build's M, Etilde and gamma, realized as a stack of one by `_rows`.
     Its gain is climbed by one `_polish` from w, or, when w is None, from
     the `_row_peaks` pick among the `_seeds` of its spectrum, the start
     `certify`'s norm search takes first.  The gain is a measured |G(i w*)|,
@@ -183,8 +189,7 @@ def _peak_at(base: _Base, kappa2: float, w: float | None):
     calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
     is Hurwitz at every kappa2 > 0 once it is at the flip interval's
     certified end."""
-    m = base.model
-    st = _realization(m.n_modes, m.M, build_coupling(base.params.kappa1, kappa2)[None], m.Etilde[None])
+    st = _rows(base.model, base.params.kappa1, [kappa2])
     start = _row_peaks(st, _seeds(_spectra(st.A)[0]))[1] if w is None else np.array([w])
     gain, w = (float(v[0]) for v in _polish(st, start, HINF_DEFAULT_REL_TOL))
     F, B, C = st.A[0], st.B[0], st.C[0]
@@ -198,10 +203,11 @@ def _peak_at(base: _Base, kappa2: float, w: float | None):
 def _norm_freq(st, gain: float) -> float | None:
     """None when `gain`, measured on the one system of `st`, lies within
     HINF_DEFAULT_REL_TOL/5 of its norm: the level-set test at
-    (1 + HINF_DEFAULT_REL_TOL/5) gain finds no crossing, the test `certify`'s
-    norm search ends with.  Otherwise the gain sits on a lower, local peak,
-    and this is the frequency of the norm from one full `_hinf_norms`."""
-    if not _imag_axis_crossings(st, [(1.0 + HINF_DEFAULT_REL_TOL / 5.0) * gain])[0].size:
+    `_proof_level(gain, HINF_DEFAULT_REL_TOL)` finds no crossing, the test
+    `certify`'s norm search ends with.  Otherwise the gain sits on a lower,
+    local peak, and this is the frequency of the norm from one full
+    `_hinf_norms`."""
+    if not _imag_axis_crossings(st, [_proof_level(gain, HINF_DEFAULT_REL_TOL)])[0].size:
         return None
     return _raised(_hinf_norms(st, _spectra(st.A), HINF_DEFAULT_REL_TOL)[0])[1]
 
@@ -265,16 +271,10 @@ def find_threshold(
         raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
     if not flags[-1]:
         raise ValueError(f"bracket invalid: not certified at hi = {hi:.6e}")
-    for (k_prev, f_prev), (k_next, f_next) in zip(
-        zip(audit, flags), zip(audit[1:], flags[1:])
-    ):
-        if f_prev and not f_next:
-            raise RuntimeError(
-                "certified predicate is not monotone on the bracket: "
-                f"certified at kappa2={k_prev:.6e} but not at {k_next:.6e}"
-            )
-
     j = flags.index(True)
+    if False in flags[j:]:  # the first certified point followed by a refused one
+        i = flags.index(False, j)
+        raise _not_monotone(audit[i - 1], audit[i])
     flip = (float(audit[j - 1]), float(audit[j]))
     log_gamma_half = math.log(base.model.gamma / 2.0)
     # [a, b]: the bracket the gain's sign shrinks; [va, vb]: what verdicts
@@ -318,10 +318,7 @@ def find_threshold(
         if not above:
             va = max(va, math.log(pair[1]))
         if not va < vb:
-            raise RuntimeError(
-                "certified predicate is not monotone on the bracket: "
-                f"certified at kappa2={math.exp(vb):.6e} but not at {math.exp(va):.6e}"
-            )
+            raise _not_monotone(math.exp(vb), math.exp(va))
         a, b = va, vb
         x, last = (a + b) / 2.0, b - a
         bisections += 1
@@ -329,6 +326,12 @@ def find_threshold(
         f"threshold search: no verified kappa2* after {THRESHOLD_MAX_PEAKS} peaks; "
         f"bracket [{math.exp(a):.6e}, {math.exp(b):.6e}]"
     )
+
+
+def _not_monotone(certified: float, refused: float) -> RuntimeError:
+    """The error for a coupling rate certified below one that is refused."""
+    return RuntimeError("certified predicate is not monotone on the bracket: "
+                        f"certified at kappa2={certified:.6e} but not at {refused:.6e}")
 
 
 def _bode_row_alone(ss, omega: float) -> BodeRow:

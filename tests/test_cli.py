@@ -1,6 +1,8 @@
 import argparse
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == "error: --v0[0] must be a [re, im] pair of numbers, got 1\n"
 
+    def test_nonfinite_v0_exit_one_writes_nothing(self, model_file, tmp_path, capsys):
+        traj = tmp_path / "t.csv"
+        assert main(["simulate", "--model", model_file, "--v0", "[[NaN,0],[0,0],[0,0],[0,0]]",
+                     "--out", str(traj)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: v0 has a non-finite entry\n"
+        # neither the trajectory nor its default decay file
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])
     def test_nonfinite_steps_exit_one(self, model_file, tmp_path, capsys, flags):
         assert main(["simulate", "--model", model_file, *flags,
@@ -388,12 +400,25 @@ class TestUsage:
         assert exc.value.code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["threshold", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_OK
-        assert "usage:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage:" in out
+        if argv[0] == "threshold":  # the search it runs, as find_threshold runs it
+            assert "safeguarded Newton on a tracked peak of the gain" in " ".join(out.split())
+
+    def test_readme_quick_start_parses(self):
+        # every `jjcavity ...` line of README's "Quick start (CLI)" block, one
+        # per command: a renamed or removed flag fails here
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## Quick start (CLI)\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("jjcavity ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(line, comments=True)[1:]).command for line in lines]
+        assert sorted(commands) == sorted(_command_flags())
 
     def test_flags_per_command(self):
         flags = _command_flags()

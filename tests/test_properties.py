@@ -103,7 +103,7 @@ def outcome(call, *args):
 def test_stack_is_each_system_alone(drawn):
     # a stack decided by the core `certify` shares gives each system's
     # certificate alone, bit for bit
-    stack = stability._realization(2, np.stack([m.M for m in drawn]), np.stack([m.N for m in drawn]),
+    stack = stability._realization(np.stack([m.M for m in drawn]), np.stack([m.N for m in drawn]),
                                    np.stack([m.Etilde for m in drawn]))
     found = stability._decided(stack, [m.gamma / 2.0 for m in drawn], stability._certificates)
     assert [outcome(stability._raised, r) for r in found] == [outcome(certify, m) for m in drawn]

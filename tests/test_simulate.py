@@ -34,7 +34,10 @@ def assert_matches_rk4_loop(F, v0, t_end, dt):
     ref = rk4_reference(F, v0, t_end, dt)
     assert traj.v.shape == ref.shape
     # the two orderings round differently: ~eps per step, and up to ~1e4
-    # steps, so 1e-10 leaves two orders of headroom over 2.2e-16 * 1e4
+    # steps, so 1e-10 leaves two orders of headroom over 2.2e-16 * 1e4 on
+    # the physical and random Hurwitz F used here; a strongly non-normal F
+    # amplifies the difference far beyond that (see README, "Time
+    # integration")
     err = np.linalg.norm(traj.v - ref, axis=1)
     assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
 
@@ -112,6 +115,15 @@ class TestIntegrateMean:
     def test_nonfinite_steps(self, t_end, dt):
         with pytest.raises(ValueError, match="finite"):
             integrate_mean(-np.eye(2), [1.0, 0.0], t_end=t_end, dt=dt)
+
+    @pytest.mark.parametrize("F, v0, name", [
+        (-np.eye(2), [np.nan, 0.0], "v0"),
+        (-np.eye(2), [0.0, np.inf], "v0"),
+        ([[-1.0, np.nan], [0.0, -1.0]], [1.0, 0.0], "F"),
+    ], ids=["nan-v0", "inf-v0", "nan-F"])
+    def test_nonfinite_input(self, F, v0, name):
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            integrate_mean(F, v0, t_end=1.0, dt=0.01)
 
     def test_matches_stage_loop_at_paper_point(self, paper_model):
         F = build_F(paper_model)

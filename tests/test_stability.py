@@ -210,7 +210,7 @@ class TestStateSpace:
         rng = np.random.default_rng(61)
         models = [make_random_model(rng) for _ in range(5)]
         M, N, Et = (np.array([getattr(m, name) for m in models]) for name in ("M", "N", "Etilde"))
-        st = stability._realization(2, M, N, Et)
+        st = stability._realization(M, N, Et)
         assert st.take(range(5)) is st
         for j, m in enumerate(models):
             ss = state_space(m)
@@ -352,7 +352,7 @@ def stall_sample():
             M.append(model.M)
             N.append(build_coupling(p.kappa1, float(k2)))
             Et.append(model.Etilde)
-    st = stability._realization(2, np.array(M), np.array(N), np.array(Et))
+    st = stability._realization(np.array(M), np.array(N), np.array(Et))
     spectra = stability._spectra(st.A)
     assert spectra[3].all()
     return st, spectra
@@ -438,7 +438,7 @@ class TestNonHurwitzRows:
 def realized(models):
     """The realizations of `models`, all of one order, as one stack."""
     M, N, Etilde = (np.array([getattr(m, k) for m in models]) for k in ("M", "N", "Etilde"))
-    return stability._realization(models[0].n_modes, M, N, Etilde)
+    return stability._realization(M, N, Etilde)
 
 
 def bench_style_models(paper_params, rng, count):

@@ -99,6 +99,22 @@ class TestFindThreshold:
             find_threshold(paper_params, 1e11, 1e13)
         assert f"kappa2={audit[k - 1]:.6e} but not at {audit[k]:.6e}" in str(exc.value)
 
+    def test_audit_names_the_first_flip(self, paper_params, monkeypatch):
+        # certified on [2e11, 4e11), on [6e11, 8e11) and from 1e12 up: two
+        # certified-to-refused flips, and the error names the first
+        def certified(p, k2):
+            return 2e11 <= k2 < 4e11 or 6e11 <= k2 < 8e11 or k2 >= 1e12
+
+        monkeypatch.setattr(sweep, "_certified_at", lambda p, ks: [certified(p, k) for k in ks])
+        monkeypatch.setattr(sweep, "_peak_at", lambda base, k2, w: pytest.fail("peak after a failed audit"))
+        audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
+        first, second = (int(np.searchsorted(audit, k)) for k in (4e11, 8e11))
+        assert certified(None, audit[second - 1]) and not certified(None, audit[second])
+        with pytest.raises(RuntimeError) as exc:
+            find_threshold(paper_params, 1e11, 1e13)
+        assert str(exc.value) == ("certified predicate is not monotone on the bracket: "
+                                  f"certified at kappa2={audit[first - 1]:.6e} but not at {audit[first]:.6e}")
+
     # np.logspace returns 2e12 and 2.4e12 an ulp off, 1e11 and 1e13 exactly
     @pytest.mark.parametrize("lo, hi", [(1e11, 1e13), (2e12, 2.4e12)])
     def test_each_verdict_once_audit_ends_are_bracket(self, paper_params, monkeypatch, lo, hi):
