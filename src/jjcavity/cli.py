@@ -15,7 +15,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .builder import build_model
-from .model import SystemModel, _decode_pairs
+from .model import SystemModel, _decode_pairs, _validated
 from .params import PhysicalParams, _checked_fields
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
@@ -67,10 +67,12 @@ def _params_from_args(args) -> PhysicalParams:
 
 
 def _load_model(args) -> SystemModel:
+    """The --model file's model; one that fails `validate_model` raises the
+    error `certify` raises for it, before any command writes."""
     if not args.model:
         raise SystemExit("error: --model FILE is required for this command")
     with open(args.model) as fh:
-        return SystemModel.from_json(fh.read())
+        return _validated(SystemModel.from_json(fh.read()))
 
 
 def _write(path: str, text: str, args) -> None:
@@ -171,11 +173,11 @@ def cmd_simulate(args) -> int:
     else:
         v0 = _decode_pairs("--v0", json.loads(args.v0))
     traj = integrate_mean(F, v0, t_end, dt)
+    est = estimate_decay(traj)  # before writing: a failed fit writes nothing
     header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
     re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)
     rows = np.column_stack([traj.t, re_im, traj.norm_sq]).tolist()
     _emit(format_csv(header, rows), args)
-    est = estimate_decay(traj)
     decay_path = args.decay_out or ((args.out or "trajectory.csv") + ".decay.json")
     _write(decay_path, est.to_json() + "\n", args)
     return EXIT_OK

@@ -3,8 +3,9 @@ function, H-infinity norm, and the final certificate.
 
 The Hurwitz test, the norm search and the verdict run on a stack of
 models of one order at once, each step one stacked LAPACK call; a single
-model is the stack of one.  Every spectrum, Hurwitz verdict and spectral
-abscissa comes from `_spectra`, computed where it is used."""
+model is the stack of one.  Every Hurwitz verdict and spectral abscissa
+comes from `_spectra`, computed where it is used; `sweep.bode_csv` and
+`simulate.slow_mode_vector` take their own spectra."""
 
 from __future__ import annotations
 
@@ -28,10 +29,9 @@ HINF_MAX_ITER = 30
 #: Newton steps per polish of a candidate peak (see `_polish`): a sharp
 #: peak needs two or three, a broad skewed one (large kappa2) up to six
 HINF_POLISH_STEPS = 6
-#: imaginary-axis detection threshold, relative to the max-abs entry of the
-#: level-set matrix with no absolute floor: unchanged when A, B B^H and C^H C
-#: scale together (a change of time unit), but not when one block dwarfs the
-#: others, which is why `hinf_norm` balances B against C first
+#: imaginary-axis detection threshold, relative to the scale of the
+#: level-set matrix, max(max |A|, max |B| max |C| / L), with no absolute
+#: floor (see `_imag_axis_crossings`)
 IMAG_AXIS_REL_TOL = 1e-8
 
 
@@ -205,7 +205,14 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     """For each system of `st`, the sorted frequencies where some eigenvalue
     of its level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L,
     -A^H]], sits on the imaginary axis; empty iff its gain stays strictly
-    below L.  One eigvals call on the (k, 2n, 2n) stack."""
+    below L.  One eigvals call on the (k, 2n, 2n) stack.
+
+    An eigenvalue is on the axis when its real part is at most
+    IMAG_AXIS_REL_TOL times max(max |A|, max |B| max |C| / L): the largest
+    entry of the level-set matrix once its coupling blocks are split evenly,
+    since max |B B^H| = max |B|^2 and max |C^H C| = max |C|^2.  Rewriting G
+    as B c, C / c leaves that scale unchanged, and a change of time unit
+    (A w, B w, C) scales it by w with the eigenvalues."""
     A, B, C = st.A, st.B, st.C
     k, n = A.shape[:2]
     level = np.asarray(levels, dtype=float)[:, None, None]
@@ -215,7 +222,8 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     H[:, n:, :n] = -(C.conj().transpose(0, 2, 1) @ C) / level
     H[:, n:, n:] = -A.conj().transpose(0, 2, 1)
     ev = np.linalg.eigvals(H)
-    tol = IMAG_AXIS_REL_TOL * np.abs(H).max(axis=(1, 2))
+    coupling = np.abs(B).max(axis=(1, 2)) * np.abs(C).max(axis=(1, 2)) / level[:, 0, 0]
+    tol = IMAG_AXIS_REL_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), coupling)
     on_axis = np.abs(ev.real) <= tol[:, None]
     return [np.sort(e.imag[m]) for e, m in zip(ev, on_axis)]
 
@@ -394,16 +402,11 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     from that same spectrum.  This is the stack of one of `_hinf_norms`,
     which `certify` and the sweeps run on their stacks.
 
-    Before the search B and C are balanced: B / beta and beta C with
-    beta = 2^round(log2(max |B| / max |C|) / 2), or 1 when that ratio is
-    zero, infinite or NaN.  Scaling by a power of two is exact, so G is the
-    same bit for bit.  The axis test's tolerance is relative to the largest
-    entry of the level-set matrix, whose blocks are A, B B^H / L and
-    C^H C / L; unbalanced, one coupling block can dwarf A and read stable
-    eigenvalues as crossings.  A `SystemModel` realization has beta = 1.  Balanced, the norm does not
-    change under B c, C / c or a change of time unit (A w, B w, C); a
-    badly scaled A itself, as from a diagonal similarity T A T^-1 with T
-    spread over many decades, can still defeat the test.
+    `ss` is searched as given.  The axis test's tolerance follows the scale
+    rule of `_imag_axis_crossings`, max(max |A|, max |B| max |C| / L), so
+    the norm does not change under B c, C / c or a change of time unit
+    (A w, B w, C); a badly scaled A itself, as from a diagonal similarity
+    T A T^-1 with T spread over many decades, can still defeat the test.
 
     rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
     the level-set eigenvalue pair is nearly double, so the float eigen test
@@ -420,10 +423,7 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
             "float level-set test: near the peak its eigenvalue pair is nearly double and "
             "resolves a crossing only to about sqrt(eps) times the matrix scale"
         )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.abs(ss.B).max(initial=0.0) / np.abs(ss.C).max(initial=0.0)
-    beta = 2.0 ** round(0.5 * math.log2(ratio)) if 0.0 < ratio < math.inf else 1.0
-    st = StateSpace(_one_matrix(ss.A, "hinf_norm")[None], ss.B[None] / beta, beta * ss.C[None])
+    st = StateSpace(_one_matrix(ss.A, "hinf_norm")[None], ss.B[None], ss.C[None])
     spectra = _spectra(st.A)
     if not spectra[3][0]:
         raise ValueError("norm undefined: A is not Hurwitz")

@@ -137,6 +137,39 @@ class TestCertify:
                                            "M has a non-finite entry at (0,0)\n")
 
 
+class TestInvalidModelFile:
+    """Every command that loads a --model file validates it first: a model
+    that fails `validate_model` exits 1 with the one error line `certify`
+    gives, and no command writes a file."""
+
+    @pytest.mark.parametrize("edit", ["nan", "non_hermitian"])
+    @pytest.mark.parametrize("command", [
+        ["certify"],
+        ["bode", "--omega-lo", "1e9", "--omega-hi", "1e14"],
+        ["simulate"],
+    ], ids=["certify", "bode", "simulate"])
+    def test_exit_one_writes_nothing(self, tmp_path, monkeypatch, capsys, paper_model, edit, command):
+        from jjcavity.model import SystemModel
+        from jjcavity.stability import certify
+
+        d = json.loads(paper_model.to_json())
+        if edit == "nan":
+            d["M"][0][0] = [float("nan"), 0.0]
+        else:
+            d["M"][0][1][0] += 1e11
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError) as exc:
+            certify(SystemModel.from_json(path.read_text()))
+        monkeypatch.chdir(tmp_path)  # where simulate's default decay file would go
+        assert main([command[0], "--model", str(path), *command[1:], "--out", "out"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.err.startswith("error: model fails structural validation: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 class TestSweep:
     def test_csv_output(self, capsys):
         assert main(["sweep", *PARAM_FLAGS, "--kappa2-grid", "1e12:1e13:4",
@@ -333,6 +366,17 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: v0 has a non-finite entry\n"
         # neither the trajectory nor its default decay file
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("out", [["--out", "t.csv"], []], ids=["out", "stdout"])
+    def test_failed_fit_writes_nothing(self, model_file, tmp_path, monkeypatch, capsys, out):
+        # 6 samples are too few for the decay fit, which runs before any output
+        monkeypatch.chdir(tmp_path)  # where the default decay file would go
+        assert main(["simulate", "--model", model_file, "--dt", "1e-14", "--t-end", "5e-14",
+                     *out]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least 10 usable samples") and captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])

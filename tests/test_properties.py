@@ -56,6 +56,22 @@ def test_input_output_split(ss, log_c):
 
 
 @SETTINGS
+@given(systems(), st.floats(-8.0, 8.0))
+def test_stacked_core_input_output_split(ss, log_c):
+    # the core that `certify`, `is_certified`, the sweeps and the threshold
+    # share decides G, not its split: with B c, C / c in the same stack, both
+    # systems are certified just above the norm and refused just below it
+    c = 10.0 ** log_c
+    stack = StateSpace(np.stack([ss.A, ss.A]), np.stack([ss.B, ss.B * c]), np.stack([ss.C, ss.C / c]))
+    norm, _ = hinf_norm(ss)
+    above, below = norm * (1.0 + 1e-3), norm * (1.0 - 1e-3)
+    assert stability._decided(stack, [above, above], stability._verdicts) == [True, True]
+    assert stability._decided(stack, [below, below], stability._verdicts) == [False, False]
+    certs = [stability._raised(r) for r in stability._decided(stack, [above, above], stability._certificates)]
+    assert certs[1].hinf_norm == pytest.approx(certs[0].hinf_norm, rel=REL)
+
+
+@SETTINGS
 @given(systems(), st.floats(-18.0, 6.0))
 def test_time_unit(ss, log_w):
     # C (sI - A w)^-1 B w = G(s / w): the same norm, at w times the frequency

@@ -402,7 +402,8 @@ class TestRescaledRealization:
 
     @pytest.mark.parametrize("B, C", [([1.0, 1.0], [0.0, 0.0]), ([0.0, 0.0], [1.0, 1.0])], ids=["C", "B"])
     def test_zero_map_is_not_balanced(self, B, C):
-        # with B or C zero there is no ratio to balance, and G == 0
+        # with B or C zero, G == 0: the norm is (0, 0) from the Markov
+        # parameters, with no level-set test
         assert hinf_norm(StateSpace(np.diag([-1.0, -2.0]), B, C)) == (0.0, 0.0)
 
     def test_tiny_rates_are_hurwitz(self):
