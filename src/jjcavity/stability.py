@@ -143,6 +143,14 @@ def is_hurwitz(F: np.ndarray) -> bool:
     return bool(_spectra(_one_matrix(F, "is_hurwitz"))[3])
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The complex n x n identity, shared by every `transfer_response` call
+    and so read-only (a broadcast view): a fresh np.eye costs as much as a
+    one-system call's product s I."""
+    return np.broadcast_to(np.eye(n, dtype=complex), (n, n))
+
+
 def transfer_response(ss, s) -> np.ndarray:
     """G at every point of the array `s` (the frequency response when
     s = i w), from one stacked linear solve on the array of sI - A (never
@@ -151,9 +159,17 @@ def transfer_response(ss, s) -> np.ndarray:
     over any array s, or, with A[:, None], B[:, None] and C[:, None] of a
     stack of k systems and a (k, m) array s, each system at its own m
     points.  A point that is (numerically) an eigenvalue of A fails the
-    whole solve with numpy's LinAlgError."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    lhs = s[..., None, None] * np.eye(ss.A.shape[-1], dtype=complex) - ss.A
+    whole solve with numpy's LinAlgError.
+
+    The (..., n, n) array of sI - A is allocated once, at the shape that s
+    and A broadcast to (which may be A's, as for a stack with one point):
+    s I is written into it and A subtracted in place, the two operations
+    of s I - A in their order, so every bit and signed zero is the same.
+    A second full-size temporary would cost 338 KB at the (40, 33, 4, 4)
+    seed stack of a 40-point sweep, and a pass over it."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))[..., None, None]
+    lhs = np.multiply(s, _identity(ss.A.shape[-1]), out=np.empty(np.broadcast(s, ss.A).shape, dtype=complex))
+    lhs -= ss.A
     # B at the ndim of lhs: numpy < 2 reads a b of one dimension less as a
     # stack of vectors
     x = np.linalg.solve(lhs, ss.B[(None,) * (lhs.ndim - ss.B.ndim)])
@@ -201,6 +217,11 @@ def _seeds(eigenvalues: np.ndarray) -> np.ndarray:
     return np.concatenate([w, (w[:, :-1] + w[:, 1:]) / 2.0], axis=1)
 
 
+#: the crossings of every row without an on-axis eigenvalue, one array
+#: shared by all of them and so read-only (a broadcast view)
+_NO_CROSSINGS = np.broadcast_to(np.empty(0), (0,))
+
+
 def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     """For each system of `st`, the sorted frequencies where some eigenvalue
     of its level-set matrix at its level L, [[A, B B^H / L], [-C^H C / L,
@@ -212,7 +233,12 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     entry of the level-set matrix once its coupling blocks are split evenly,
     since max |B B^H| = max |B|^2 and max |C^H C| = max |C|^2.  Rewriting G
     as B c, C / c leaves that scale unchanged, and a change of time unit
-    (A w, B w, C) scales it by w with the eigenvalues."""
+    (A w, B w, C) scales it by w with the eigenvalues.
+
+    Only the rows with an on-axis eigenvalue are sorted and indexed; every
+    other row gets the one shared, read-only empty array `_NO_CROSSINGS`
+    (on the bench's sweep pools, 1 to 8 of the 40 rows of a 40-point
+    sweep's first test have a crossing)."""
     A, B, C = st.A, st.B, st.C
     k, n = A.shape[:2]
     level = np.asarray(levels, dtype=float)[:, None, None]
@@ -225,7 +251,8 @@ def _imag_axis_crossings(st: StateSpace, levels) -> list[np.ndarray]:
     coupling = np.abs(B).max(axis=(1, 2)) * np.abs(C).max(axis=(1, 2)) / level[:, 0, 0]
     tol = IMAG_AXIS_REL_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), coupling)
     on_axis = np.abs(ev.real) <= tol[:, None]
-    return [np.sort(e.imag[m]) for e, m in zip(ev, on_axis)]
+    hits = on_axis.any(axis=1).tolist()
+    return [np.sort(ev[i].imag[on_axis[i]]) if hit else _NO_CROSSINGS for i, hit in enumerate(hits)]
 
 
 def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +282,21 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     w = np.array(w, dtype=float)
     # [lhs, lhs^2, lhs^T]: off the diagonal lhs is -A and lhs^T is -A^T;
     # each step writes the diagonal i w - A_jj of both, and lhs^2, through
-    # views of the current lhs.  np.empty and the boolean-mask copies of
-    # the compaction keep lhs C-contiguous, so its reshape is a view.
+    # views of the current lhs, built once per compaction.  np.empty and
+    # the boolean-mask copies of the compaction keep lhs C-contiguous, so
+    # its reshape is a view.
+    def views(lhs):  # (the diagonals of lhs and lhs^T, lhs, lhs^2)
+        return lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1], lhs[:, 0], lhs[:, 1]
+
     lhs = np.empty((w.size, 3, n, n), dtype=complex)
     lhs[:, 0], lhs[:, 2] = -A, -A.swapaxes(1, 2)
+    on_diag, lhs1, lhs2 = views(lhs)
     diag = np.diagonal(A, axis1=1, axis2=2)[:, None, :]
     at = np.arange(w.size)  # the systems still stepping
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(HINF_POLISH_STEPS + 1):
-            np.subtract(1j * w[:, None, None], diag, out=lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1])
-            np.matmul(lhs[:, 0], lhs[:, 0], out=lhs[:, 1])
+            np.subtract(1j * w[:, None, None], diag, out=on_diag)
+            np.matmul(lhs1, lhs1, out=lhs2)
             x = np.linalg.solve(lhs, rhs)[..., 0]
             g = (C @ x[:, 0, :, None])[:, 0, 0]
             gain = np.abs(g)
@@ -286,6 +318,7 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
                 if not go.any():
                     break
                 at, diag, C, rhs, lhs = at[go], diag[go], C[go], rhs[go], lhs[go]
+                on_diag, lhs1, lhs2 = views(lhs)
                 w, delta = w[go], delta[go]
             w = w + delta
     return g_best, w_best
@@ -324,11 +357,9 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     rows = np.flatnonzero(hurwitz)  # the systems still searching
     lo[rows], freq[rows] = _row_peaks(st.take(rows), _seeds(ev[rows]))
     for i in rows[lo[rows] == 0.0].tolist():
-        if not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
-            # G == 0 iff every Markov parameter C A^p B, p < n, is zero
-            out[i] = (0.0, 0.0)
-        else:
-            out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
+        # G == 0 iff every Markov parameter C A^p B, p < n, is zero
+        zero = not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n))
+        out[i] = (0.0, 0.0) if zero else RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
     rows = rows[lo[rows] != 0.0]
     best, start, floor = lo[rows], freq[rows], -math.inf
     for step in range(HINF_MAX_ITER):
@@ -343,12 +374,14 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
         rows, start = rows[raised], start[raised]
         if not rows.size:
             break
-        lo[rows], freq[rows] = _polish(st.take(rows), start, rel_tol)
+        sub = st.take(rows)
+        lo[rows], freq[rows] = _polish(sub, start, rel_tol)
         hi[rows] = _proof_level(lo[rows], rel_tol)
-        crossings = _imag_axis_crossings(st.take(rows), hi[rows])
+        crossings = _imag_axis_crossings(sub, hi[rows])
         crossed = np.array([c.size > 0 for c in crossings])
-        for i in rows[~crossed].tolist():
-            out[i] = (float(hi[i]), float(freq[i]))
+        done = rows[~crossed]
+        for i, h, f in zip(done.tolist(), hi[done].tolist(), freq[done].tolist()):
+            out[i] = (h, f)
         rows, crossings = rows[crossed], [c for c in crossings if c.size]
         if not rows.size:
             break

@@ -379,6 +379,32 @@ class TestSimulate:
         assert captured.err.startswith("error: need at least 10 usable samples") and captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    @pytest.mark.parametrize("decay", ["nodir/d.json", "adir"], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("out", [["--out", "t.csv"], []], ids=["out", "stdout"])
+    def test_unwritable_decay_path_writes_nothing(self, model_file, tmp_path, monkeypatch, capsys, out, decay):
+        # the decay file cannot be written: found before the trajectory is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert main(["simulate", "--model", model_file, "--dt", "1e-14", "--t-end", "1e-11",
+                     *out, "--decay-out", decay]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {decay}") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
+        assert not any((tmp_path / "adir").iterdir())
+
+    @pytest.mark.parametrize("out", ["nodir/t.csv", "adir"], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_path_writes_no_decay_file(self, model_file, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert main(["simulate", "--model", model_file, "--dt", "1e-14", "--t-end", "1e-11",
+                     "--out", out, "--decay-out", "d.json"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
+        assert not any((tmp_path / "adir").iterdir())
+
     @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])
     def test_nonfinite_steps_exit_one(self, model_file, tmp_path, capsys, flags):
         assert main(["simulate", "--model", model_file, *flags,

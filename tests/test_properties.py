@@ -3,7 +3,10 @@ that leave its transfer function's norm unchanged, and move its peak
 frequency in a known way.  They need no oracle: each compares the norm of
 a drawn system with the norm of the same G written another way.  Two more
 compare a stack of systems with each system alone, and `find_threshold`
-with the closed-form threshold.
+with the closed-form threshold.  Two pin kernels of the stacked core to
+the plain expressions they compute, bit for bit: `transfer_response` to
+C (s I - A)^-1 B, and `_imag_axis_crossings` to its rule applied to every
+row.
 
 The draws are random 2-mode models of O(1) scale (`make_random_model`)
 and physical models around the published constants (`random_params`),
@@ -137,3 +140,79 @@ def test_threshold_is_closed_form(seed):
     assert not is_certified(jc.build_model(p.replace(kappa2=star * (1 - 5e-4))))
     assert is_certified(jc.build_model(p.replace(kappa2=star * (1 + 5e-4))))
     assert star == pytest.approx(closed_form_threshold(p), rel=1e-8)
+
+
+def stack_of(drawn) -> StateSpace:
+    """The realizations of the models `drawn`, as one stack."""
+    return stability._realization(np.stack([m.M for m in drawn]), np.stack([m.N for m in drawn]),
+                                  np.stack([m.Etilde for m in drawn]))
+
+
+def response_expression(ss, s) -> tuple[np.ndarray, np.ndarray]:
+    """(s I - A, C (s I - A)^-1 B) from the expression s I - A as written,
+    through a temporary, with `transfer_response`'s shapes."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    lhs = s[..., None, None] * np.eye(ss.A.shape[-1], dtype=complex) - ss.A
+    x = np.linalg.solve(lhs, ss.B[(None,) * (lhs.ndim - ss.B.ndim)])
+    return lhs, (ss.C @ x)[..., 0, 0]
+
+
+def points(rng, scale: float, shape) -> np.ndarray:
+    """Points s of `shape` at `scale`: on the imaginary axis (real part a
+    signed zero), on the real axis and off both."""
+    s = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pick = rng.integers(0, 3, shape)
+    return np.select([pick == 0, pick == 1], [1j * s.imag, s.real + 0j], s)
+
+
+@SETTINGS
+@given(st.lists(models(), min_size=1, max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_transfer_response_is_its_expression(drawn, seed):
+    # the same shapes and bytes, of G and of the s I - A it solves with,
+    # whose signed zeros rarely reach G: one system at a scalar, a vector
+    # and a grid of points; k systems each at its own row of points; and k
+    # systems at one scalar point, where s I is smaller than the stack it
+    # is written into
+    rng = np.random.default_rng(seed)
+    stack = stack_of(drawn)
+    one, k, scale = StateSpace(stack.A[0], stack.B[0], stack.C[0]), len(drawn), np.abs(stack.A).max()
+    rows = StateSpace(stack.A[:, None], stack.B[:, None], stack.C[:, None])
+    solve, solved = np.linalg.solve, []
+    for ss, s in [(one, complex(points(rng, scale, ()))), (one, points(rng, scale, (7,))),
+                  (one, points(rng, scale, (3, 5))), (rows, points(rng, scale, (k, 6))),
+                  (stack, complex(points(rng, scale, ())))]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+            got = stability.transfer_response(ss, s)
+        lhs, want = response_expression(ss, s)
+        assert solved.pop().tobytes() == lhs.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def crossings_expression(st: StateSpace, levels) -> list:
+    """`_imag_axis_crossings`' rule with every row sorted and indexed."""
+    A, B, C = st.A, st.B, st.C
+    level = np.asarray(levels, dtype=float)[:, None, None]
+    H = np.block([[A, (B @ B.conj().transpose(0, 2, 1)) / level],
+                  [-(C.conj().transpose(0, 2, 1) @ C) / level, -A.conj().transpose(0, 2, 1)]])
+    ev = np.linalg.eigvals(H)
+    coupling = np.abs(B).max(axis=(1, 2)) * np.abs(C).max(axis=(1, 2)) / level[:, 0, 0]
+    tol = stability.IMAG_AXIS_REL_TOL * np.maximum(np.abs(A).max(axis=(1, 2)), coupling)
+    on_axis = np.abs(ev.real) <= tol[:, None]
+    return [np.sort(e.imag[m]) for e, m in zip(ev, on_axis)]
+
+
+@SETTINGS
+@given(st.lists(models(), min_size=1, max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_crossings_are_their_rule_on_every_row(drawn, seed):
+    # each row at a level below or above its best seed gain, so that rows
+    # with and without crossings share a stack; the same arrays row by row,
+    # and a row without one gets a read-only empty array
+    stack = stack_of(drawn)
+    gains = stability._row_peaks(stack, stability._seeds(np.linalg.eigvals(stack.A)))[0]
+    levels = gains * np.random.default_rng(seed).choice([0.5, 0.99, 1.5, 4.0], len(drawn))
+    got, want = stability._imag_axis_crossings(stack, levels), crossings_expression(stack, levels)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert g.size or not g.flags.writeable
