@@ -83,6 +83,16 @@ def _write(path: str, text: str, args) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless `path` can be written: a writable file, or a
+    new file in an existing, writable directory.  (`os.access` accepts
+    everything for root, so there only the existence checks bite.)"""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK):
+        raise OSError(f"cannot write {path}: not a writable file in an existing, writable directory")
+
+
 def _emit(text: str, args) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if args.out:
@@ -166,14 +176,18 @@ def cmd_sensitivity(args) -> int:
 def cmd_simulate(args) -> int:
     model = _load_model(args)
     F = build_F(model)
-    dt, t_end = (d if a is None else a for a, d in zip((args.dt, args.t_end), default_timescales(F)))
-    v0 = slow_mode_vector(F) if args.v0 == "slow-mode" else _decode_pairs("--v0", json.loads(args.v0))
+    dt_def, t_end_def = default_timescales(F)
+    dt = args.dt if args.dt is not None else dt_def
+    t_end = args.t_end if args.t_end is not None else t_end_def
+    if args.v0 == "slow-mode":
+        v0 = slow_mode_vector(F)
+    else:
+        v0 = _decode_pairs("--v0", json.loads(args.v0))
     traj = integrate_mean(F, v0, t_end, dt)
     est = estimate_decay(traj)  # before writing: a failed fit writes nothing
     decay_path = args.decay_out or ((args.out or "trajectory.csv") + ".decay.json")
     for path in filter(None, (args.out, decay_path)):  # both checked before either is written
-        if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
-            raise OSError(f"cannot write {path}: not a file in a writable directory")
+        _check_writable(path)
     header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
     re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)
     rows = np.column_stack([traj.t, re_im, traj.norm_sq]).tolist()

@@ -357,9 +357,11 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     rows = np.flatnonzero(hurwitz)  # the systems still searching
     lo[rows], freq[rows] = _row_peaks(st.take(rows), _seeds(ev[rows]))
     for i in rows[lo[rows] == 0.0].tolist():
-        # G == 0 iff every Markov parameter C A^p B, p < n, is zero
-        zero = not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n))
-        out[i] = (0.0, 0.0) if zero else RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
+        if not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
+            # G == 0 iff every Markov parameter C A^p B, p < n, is zero
+            out[i] = (0.0, 0.0)
+        else:
+            out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
     rows = rows[lo[rows] != 0.0]
     best, start, floor = lo[rows], freq[rows], -math.inf
     for step in range(HINF_MAX_ITER):

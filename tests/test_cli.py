@@ -379,7 +379,8 @@ class TestSimulate:
         assert captured.err.startswith("error: need at least 10 usable samples") and captured.err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
-    @pytest.mark.parametrize("decay", ["nodir/d.json", "adir"], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("decay", ["nodir/d.json", "adir", "model.json/d.json"],
+                             ids=["missing-dir", "a-dir", "file-as-dir"])
     @pytest.mark.parametrize("out", [["--out", "t.csv"], []], ids=["out", "stdout"])
     def test_unwritable_decay_path_writes_nothing(self, model_file, tmp_path, monkeypatch, capsys, out, decay):
         # the decay file cannot be written: found before the trajectory is written
@@ -393,7 +394,8 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
         assert not any((tmp_path / "adir").iterdir())
 
-    @pytest.mark.parametrize("out", ["nodir/t.csv", "adir"], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("out", ["nodir/t.csv", "adir", "model.json/t.csv"],
+                             ids=["missing-dir", "a-dir", "file-as-dir"])
     def test_unwritable_out_path_writes_no_decay_file(self, model_file, tmp_path, monkeypatch, capsys, out):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()

@@ -1,9 +1,9 @@
 """LAPACK work per op of the bench workloads, and minor page faults per op.
 
-    python3 tools/opcount.py [--workload W ...] [--seed 7] [--passes 5]
+    python3 tools/opcount.py
 
-For each workload (default: point, threshold, sweep and crosscheck), over
-its bench pool of the given seed, prints per op the calls of
+For each of the workloads point, threshold, sweep and crosscheck, over its
+bench pool of seed 7, prints per op the calls of
 numpy.linalg.solve, eigvals and eig, the matrices they take (a call on a
 (k, m, n, n) stack takes k m matrices) and those matrices by order n.  The
 counts come from one pass over the pool and do not depend on the machine,
@@ -11,7 +11,7 @@ so they show whether a change keeps LAPACK's work: run this in two
 checkouts (copy this file into the older one) and compare the tables.
 
 The last column is the minor page faults per op (getrusage ru_minflt) over
---passes untraced passes after one warm pass.  It depends on the allocator
+5 untraced passes after one warm pass.  It depends on the allocator
 and on what earlier ops left mapped, not on the program alone: a hint of
 how much memory an op maps afresh, not a count to pin.  So each workload
 runs in a fresh process of its own: in one process, sweep's faults per op
@@ -32,7 +32,6 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-import argparse  # noqa: E402
 import math  # noqa: E402
 import multiprocessing  # noqa: E402
 import resource  # noqa: E402
@@ -43,6 +42,9 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 
+WORKLOADS = ("point", "threshold", "sweep", "crosscheck")
+SEED = 7
+PASSES = 5  # untraced passes for the page faults
 FUNCTIONS = ("solve", "eigvals", "eig")
 
 
@@ -71,21 +73,21 @@ def lapack_counts(op, pool) -> dict:
     return {name: (calls[name], matrices[name]) for name in FUNCTIONS}
 
 
-def faults_per_op(op, pool, passes: int) -> float:
-    """Minor page faults per op over `passes` passes, after one warm pass."""
+def faults_per_op(op, pool) -> float:
+    """Minor page faults per op over PASSES passes, after one warm pass."""
     for p in pool:
         op(p)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(passes):
+    for _ in range(PASSES):
         for p in pool:
             op(p)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (passes * len(pool))
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (PASSES * len(pool))
 
 
-def measure(name: str, seed: int, passes: int) -> tuple[dict, float, int]:
+def measure(name: str) -> tuple[dict, float, int]:
     """(`lapack_counts`, `faults_per_op`, pool size) of one workload."""
-    op, pool = workloads.WORKLOADS[name].op, workloads.make_inputs(name, seed)
-    return lapack_counts(op, pool), faults_per_op(op, pool, passes), len(pool)
+    op, pool = workloads.WORKLOADS[name].op, workloads.make_inputs(name, SEED)
+    return lapack_counts(op, pool), faults_per_op(op, pool), len(pool)
 
 
 def fmt(x: float) -> str:
@@ -93,19 +95,13 @@ def fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS),
-                        help="repeatable; default: all four")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--passes", type=int, default=5, help="untraced passes for the page faults")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"{'workload':<12}{'function':<10}{'calls/op':>10}{'matrices/op':>13}  {'by order':<22}"
           f"minflt/op (allocator-dependent)")
-    for name in args.workload or workloads.WORKLOADS:
+    for name in WORKLOADS:
         # a fresh process per workload (one at a time), for the page faults
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            counts, faults, ops = pool.submit(measure, name, args.seed, args.passes).result()
+            counts, faults, ops = pool.submit(measure, name).result()
         for j, (fn, (calls, by_order)) in enumerate(counts.items()):
             orders = ", ".join(f"n{n} {fmt(m / ops)}" for n, m in sorted(by_order.items()))
             print(f"{name if j == 0 else '':<12}{fn:<10}{fmt(calls / ops):>10}"
