@@ -36,21 +36,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = False, table: bool = False) -> None:
-    if model:
-        p.add_argument("--model", help="SystemModel JSON file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    if table:
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--quiet", action="store_true")
-
-
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params-json", help="PhysicalParams JSON file")
-    for f in fields(PhysicalParams):
-        p.add_argument(f"--{f.name}", type=float)
-
-
 def _params_from_args(args) -> PhysicalParams:
     if args.params_json:
         with open(args.params_json) as fh:
@@ -188,6 +173,8 @@ def cmd_simulate(args) -> int:
     decay_path = args.decay_out or ((args.out or "trajectory.csv") + ".decay.json")
     for path in filter(None, (args.out, decay_path)):  # both checked before either is written
         _check_writable(path)
+    if args.out and os.path.realpath(args.out) == os.path.realpath(decay_path):
+        raise OSError(f"--out and the decay file are one file: {decay_path}")
     header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
     re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)
     rows = np.column_stack([traj.t, re_im, traj.norm_sq]).tolist()
@@ -218,65 +205,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, *, model: bool = False, params: bool = False,
+                table: bool = False) -> argparse.ArgumentParser:
         # the summary heads the command's own --help as well as the list
-        return sub.add_parser(name, help=summary, description=summary)
+        p = sub.add_parser(name, help=summary, description=summary)
+        p.set_defaults(func=func)
+        if model:
+            p.add_argument("--model", help="SystemModel JSON file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        if table:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--quiet", action="store_true")
+        if params:
+            p.add_argument("--params-json", help="PhysicalParams JSON file")
+            for f in fields(PhysicalParams):
+                p.add_argument(f"--{f.name}", type=float)
+        return p
 
-    p = command("build", "build a SystemModel from physical constants")
-    _add_common(p); _add_param_flags(p)
-    p.set_defaults(func=cmd_build)
+    command("build", cmd_build, "build a SystemModel from physical constants", params=True)
 
-    p = command("certify", "evaluate the strict bounded-real certificate")
-    _add_common(p, model=True)
+    p = command("certify", cmd_certify, "evaluate the strict bounded-real certificate", model=True)
     p.add_argument("--margin", type=float, default=0.0,
                    help="extra fractional safety margin on gamma/2")
-    p.set_defaults(func=cmd_certify)
 
-    p = command("sweep", "sweep the junction coupling rate")
-    _add_common(p, table=True); _add_param_flags(p)
+    p = command("sweep", cmd_sweep, "sweep the junction coupling rate", params=True, table=True)
     p.add_argument("--kappa2-grid", required=True, metavar="lo:hi:n",
                    help="log-spaced kappa2 grid")
-    p.set_defaults(func=cmd_sweep)
 
-    p = command("threshold", "find the certification threshold in kappa2 by safeguarded Newton "
-                             "on a tracked peak of the gain, with a verified bracket")
-    _add_common(p); _add_param_flags(p)
+    p = command("threshold", cmd_threshold, "find the certification threshold in kappa2 by safeguarded "
+                "Newton on a tracked peak of the gain, with a verified bracket", params=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-3)
-    p.set_defaults(func=cmd_threshold)
 
-    p = command("bode", "emit magnitude/phase frequency-response data")
-    _add_common(p, model=True, table=True)
+    p = command("bode", cmd_bode, "emit magnitude/phase frequency-response data", model=True, table=True)
     p.add_argument("--omega-lo", type=float, required=True)
     p.add_argument("--omega-hi", type=float, required=True)
     p.add_argument("--points", type=int, default=400)
-    p.set_defaults(func=cmd_bode)
 
-    p = command("sensitivity", "H-infinity norm across cavity coupling values")
-    _add_common(p, table=True); _add_param_flags(p)
+    p = command("sensitivity", cmd_sensitivity, "H-infinity norm across cavity coupling values",
+                params=True, table=True)
     p.add_argument("--kappa1-grid", required=True, metavar="lo:hi:n")
     p.add_argument("--kappa2-fixed", type=float, required=True)
-    p.set_defaults(func=cmd_sensitivity)
 
-    p = command("simulate", "integrate the mean dynamics and fit the decay")
-    _add_common(p, model=True)
+    p = command("simulate", cmd_simulate, "integrate the mean dynamics and fit the decay", model=True)
     p.add_argument("--t-end", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--v0", default="slow-mode",
                    help='JSON list of [re, im] pairs, or "slow-mode"')
     p.add_argument("--decay-out", help="path for the DecayEstimate JSON footer")
-    p.set_defaults(func=cmd_simulate)
 
-    p = command("verify-sector", "check the sector bounds for the cosine nonlinearity")
-    _add_common(p)
+    p = command("verify-sector", cmd_verify_sector, "check the sector bounds for the cosine nonlinearity")
     p.add_argument("--Jp", type=float, required=True)
     p.add_argument("--gamma", type=float, help="default 1/(2 Jp)")
     p.add_argument("--delta1", type=float, help="default 0")
     p.add_argument("--delta2", type=float, help="default Jp^2")
     p.add_argument("--range", type=float, default=20.0)
     p.add_argument("--points", type=int, default=801)
-    p.set_defaults(func=cmd_verify_sector)
 
     return parser
 
@@ -285,9 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, OverflowError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,8 +4,9 @@ function, H-infinity norm, and the final certificate.
 The Hurwitz test, the norm search and the verdict run on a stack of
 models of one order at once, each step one stacked LAPACK call; a single
 model is the stack of one.  Every Hurwitz verdict and spectral abscissa
-comes from `_spectra`, computed where it is used; `sweep.bode_csv` and
-`simulate.slow_mode_vector` take their own spectra."""
+comes from `_spectra`, computed where it is used, and so do the resonance
+rows of `sweep.bode_csv`; `simulate.slow_mode_vector` takes its own
+spectrum."""
 
 from __future__ import annotations
 
@@ -327,8 +328,8 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
 def _proof_level(lo, rel_tol: float):
     """hi = (1 + rel_tol/5) lo, for a measured gain `lo`: a level-set test
     at hi that finds no crossing proves the norm lies in [lo, hi].  The
-    norm search ends with this test, and `sweep._norm_freq` checks a
-    tracked peak with it."""
+    norm search ends with this test, and `_norm_freq` checks a tracked peak
+    with it."""
     return (1.0 + rel_tol / 5.0) * lo
 
 
@@ -404,6 +405,27 @@ def _raised(result):
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def _climb(st: StateSpace, w: float | None) -> tuple[float, float]:
+    """(gain, w*) of the one system of `st`, for `sweep`'s threshold
+    search: one `_polish` from the frequency w, or, when w is None, from
+    the `_row_peaks` pick among the `_seeds` of its spectrum, the start
+    `certify`'s norm search takes first."""
+    start = _row_peaks(st, _seeds(_spectra(st.A)[0]))[1] if w is None else np.array([w])
+    return tuple(float(v[0]) for v in _polish(st, start, HINF_DEFAULT_REL_TOL))
+
+
+def _norm_freq(st, gain: float) -> float | None:
+    """None when `gain`, measured on the one system of `st`, lies within
+    HINF_DEFAULT_REL_TOL/5 of its norm: the level-set test at
+    `_proof_level(gain, HINF_DEFAULT_REL_TOL)` finds no crossing, the test
+    `certify`'s norm search ends with.  Otherwise the gain sits on a lower,
+    local peak, and this is the frequency of the norm from one full
+    `_hinf_norms`."""
+    if not _imag_axis_crossings(st, [_proof_level(gain, HINF_DEFAULT_REL_TOL)])[0].size:
+        return None
+    return _raised(_hinf_norms(st, _spectra(st.A), HINF_DEFAULT_REL_TOL)[0])[1]
 
 
 def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[float, float]:

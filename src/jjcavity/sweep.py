@@ -16,15 +16,11 @@ from .params import PhysicalParams
 from .stability import (
     HINF_DEFAULT_REL_TOL,
     _certificates,
+    _climb,
     _decided,
-    _hinf_norms,
-    _imag_axis_crossings,
-    _polish,
-    _proof_level,
+    _norm_freq,
     _raised,
     _realization,
-    _row_peaks,
-    _seeds,
     _spectra,
     _verdicts,
     state_space,
@@ -174,42 +170,27 @@ def _peak_at(base: _Base, kappa2: float, w: float | None):
     frequency w.
 
     The model is the one with that kappa2 and the one validated base
-    build's M, Etilde and gamma, realized as a stack of one by `_rows`.
-    Its gain is climbed by one `_polish` from w, or, when w is None, from
-    the `_row_peaks` pick among the `_seeds` of its spectrum, the start
-    `certify`'s norm search takes first.  The gain is a measured |G(i w*)|,
-    so a lower bound on the norm; it is the norm only if w* sits on the
-    highest peak, which `_norm_freq` checks.  `find_threshold` calls this
-    only after its audit has decided rows on `base`, so the base is a
-    validated model, and kappa2 lies inside the flip interval, so its pair
-    passes `params.replace`.  The slope comes from the envelope theorem at
-    w*: d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with
+    build's M, Etilde and gamma, realized as a stack of one by `_rows`,
+    and its peak is climbed by `stability._climb`.  The gain is a measured
+    |G(i w*)|, so a lower bound on the norm; it is the norm only if w*
+    sits on the highest peak, which `_norm_freq` checks.  `find_threshold`
+    calls this only after its audit has decided rows on `base`, so the base
+    is a validated model, and kappa2 lies inside the flip interval, so its
+    pair passes `params.replace`.  The slope comes from the envelope
+    theorem at w*: d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with
     R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
     stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
     calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
     is Hurwitz at every kappa2 > 0 once it is at the flip interval's
     certified end."""
     st = _rows(base.model, base.params.kappa1, [kappa2])
-    start = _row_peaks(st, _seeds(_spectra(st.A)[0]))[1] if w is None else np.array([w])
-    gain, w = (float(v[0]) for v in _polish(st, start, HINF_DEFAULT_REL_TOL))
+    gain, w = _climb(st, w)
     F, B, C = st.A[0], st.B[0], st.C[0]
     lhs = 1j * w * np.eye(len(F)) - F
     rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
     g = (C @ rb).item()
     dg = (rc.conj().T @ (DF_DKAPPA2 * rb)).item()
     return gain, w, (g.conjugate() * dg).real / abs(g), st
-
-
-def _norm_freq(st, gain: float) -> float | None:
-    """None when `gain`, measured on the one system of `st`, lies within
-    HINF_DEFAULT_REL_TOL/5 of its norm: the level-set test at
-    `_proof_level(gain, HINF_DEFAULT_REL_TOL)` finds no crossing, the test
-    `certify`'s norm search ends with.  Otherwise the gain sits on a lower,
-    local peak, and this is the frequency of the norm from one full
-    `_hinf_norms`."""
-    if not _imag_axis_crossings(st, [_proof_level(gain, HINF_DEFAULT_REL_TOL)])[0].size:
-        return None
-    return _raised(_hinf_norms(st, _spectra(st.A), HINF_DEFAULT_REL_TOL)[0])[1]
 
 
 def find_threshold(
@@ -362,7 +343,7 @@ def bode_csv(model, omega_lo: float, omega_hi: float, n_points: int) -> list[Bod
         raise ValueError(f"need n_points >= 2, got {n_points}")
     ss = state_space(model)
     grid = np.logspace(math.log10(omega_lo), math.log10(omega_hi), n_points)
-    seeds = np.abs(np.linalg.eigvals(ss.A).imag)
+    seeds = np.abs(_spectra(ss.A)[0].imag)
     seeds = seeds[(seeds >= omega_lo) & (seeds <= omega_hi)]
     omegas = np.unique(np.concatenate([grid, seeds]))
     try:

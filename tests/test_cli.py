@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -407,6 +408,17 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
         assert not any((tmp_path / "adir").iterdir())
 
+    @pytest.mark.parametrize("decay", ["same.csv", "./same.csv"], ids=["same", "dot-slash"])
+    def test_one_file_for_both_outputs_writes_nothing(self, model_file, tmp_path, monkeypatch, capsys, decay):
+        # the decay JSON would overwrite the trajectory it was written after
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--model", model_file, "--dt", "1e-14", "--t-end", "1e-11",
+                     "--out", "same.csv", "--decay-out", decay]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out and the decay file are one file") and captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "nan"]])
     def test_nonfinite_steps_exit_one(self, model_file, tmp_path, capsys, flags):
         assert main(["simulate", "--model", model_file, *flags,
@@ -500,6 +512,16 @@ class TestUsage:
         params = {f"--{f.name}" for f in fields(PhysicalParams)} | {"--params-json"}
         assert {c for c, f in flags.items() if params <= f} == {"build", "sweep", "threshold",
                                                                 "sensitivity"}
+        # README's command table: its backticked flags, "constants" for the
+        # parameter flags, and every flag but the shared --out and --quiet
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text.split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        readme = {}
+        for row in table.splitlines():
+            command, cells = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", row).groups()
+            readme[command] = {c.split()[0] for c in re.findall(r"`([^`]+)`", cells)}
+            readme[command] |= params if "constants" in cells else set()
+        assert readme == {c: f - {"-h", "--help", "--out", "--quiet"} for c, f in flags.items()}
 
     def test_every_param_flag_is_read(self, capsys):
         flags = [f"--{f.name}" for f in fields(PhysicalParams)]
@@ -509,6 +531,31 @@ class TestUsage:
 
         expected = build_model(PhysicalParams(*map(float, values)))
         assert capsys.readouterr().out == expected.to_json() + "\n"
+
+
+class TestMemoryError:
+    """An input too large to allocate (say a 1e14-point grid) exits 1 with
+    one error line and writes nothing.  The allocating call is patched to
+    raise as numpy would; no test allocates."""
+
+    @pytest.mark.parametrize("target, argv", [
+        ("sweep_kappa2", ["sweep", *PARAM_FLAGS, "--kappa2-grid", "1e11:1e13:3"]),
+        ("bode_csv", ["bode", "--omega-lo", "1e9", "--omega-hi", "1e14"]),
+        ("verify_sector", ["verify-sector", "--Jp", "3.6652e11"]),
+        ("integrate_mean", ["simulate"]),
+    ], ids=["sweep", "bode", "verify-sector", "simulate"])
+    def test_exit_one_writes_nothing(self, model_file, tmp_path, monkeypatch, capsys, target, argv):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 728. TiB for an array with shape (100000000000000,)")
+
+        monkeypatch.setattr(f"jjcavity.cli.{target}", too_large)
+        monkeypatch.chdir(tmp_path)  # where simulate's default decay file would go
+        model = ["--model", model_file] if argv[0] in ("bode", "simulate") else []
+        assert main([*argv, *model, "--out", "out"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 728. TiB for an array with shape (100000000000000,)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 class TestOverflow:

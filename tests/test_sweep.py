@@ -184,7 +184,7 @@ class TestFindThreshold:
             return call
 
         monkeypatch.setattr(sweep, "_peak_at", counted(sweep._peak_at, peaks))
-        monkeypatch.setattr(sweep, "_hinf_norms", counted(sweep._hinf_norms, norms))
+        monkeypatch.setattr(stability, "_hinf_norms", counted(stability._hinf_norms, norms))
         monkeypatch.setattr(sweep, "_certified_at", counted(sweep._certified_at, pairs, pair=True))
         return peaks, norms, pairs
 

@@ -1,5 +1,5 @@
-"""Two sha256 digests of jjcavity's outputs, to check that a change keeps
-them bit for bit.
+"""Three sha256 digests of jjcavity's outputs, to check that a change
+keeps them bit for bit.
 
     python3 tools/digest.py
 
@@ -10,10 +10,16 @@ prints
                       over every input of seeds 5, 6 and 7
     sweeps <sha256>   repr of sweep_kappa2(p, logspace(10, 14, 25)) for 300
                       `random_params` draws of np.random.default_rng(11)
+    cli <sha256>      `jjcavity --help` and each `<command> --help`, then
+                      the exit code and stdout of every command at the
+                      paper point (`reference_params`), run in-process
+                      through `cli.main`, and simulate's two output files
 
 Run it in two checkouts (copy this file into the older one) and compare the
-lines.  It imports the package from its own checkout's src/, reads bench/
-and tests/, and writes nothing.
+lines.  It imports the package from its own checkout's src/ and reads
+bench/ and tests/.  It writes only into a temporary directory, which it
+removes: the paper point's parameters and model files, and simulate's
+outputs.  Help pages are formatted at COLUMNS=80.
 """
 
 import os
@@ -23,21 +29,29 @@ from pathlib import Path
 # one BLAS thread, set before numpy is first imported
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps help pages to the terminal
 sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import jjcavity as jc  # noqa: E402
+from jjcavity.cli import main  # noqa: E402
 import workloads  # noqa: E402
 from conftest import random_params  # noqa: E402
 
 WORKLOADS = ("point", "threshold", "sweep", "crosscheck")
 SEEDS = (5, 6, 7)
 SWEEP_DRAWS, SWEEP_SEED = 300, 11
+COMMANDS = ("build", "certify", "sweep", "threshold", "bode", "sensitivity", "simulate", "verify-sector")
 
 
 def pools() -> str:
@@ -59,6 +73,47 @@ def sweeps() -> str:
     return h.hexdigest()
 
 
+def cli() -> str:
+    h = hashlib.sha256()
+
+    def run(*argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help
+                code = exc.code
+        h.update(f"{code}\n{out.getvalue()}".encode())
+        return out.getvalue()
+
+    run("--help")
+    for command in COMMANDS:
+        run(command, "--help")
+    p = jc.reference_params()
+    with tempfile.TemporaryDirectory() as tmp:
+        params, model = os.path.join(tmp, "params.json"), os.path.join(tmp, "model.json")
+        with open(params, "w") as fh:
+            json.dump(dataclasses.asdict(p), fh)
+        flags = [x for f in dataclasses.fields(p) for x in (f"--{f.name}", repr(getattr(p, f.name)))]
+        with open(model, "w") as fh:
+            fh.write(run("build", *flags))
+        run("certify", "--model", model)
+        run("threshold", "--params-json", params, "--lo", "1e11", "--hi", "1e13")
+        for fmt in ("json", "csv"):
+            run("sweep", "--params-json", params, "--kappa2-grid", "1e12:1e13:40", "--format", fmt)
+            run("bode", "--model", model, "--omega-lo", "1e9", "--omega-hi", "1e14", "--format", fmt)
+            run("sensitivity", "--params-json", params, "--kappa1-grid", "1e10:1e12:9",
+                "--kappa2-fixed", "2.5e12", "--format", fmt)
+        traj, decay = os.path.join(tmp, "traj.csv"), os.path.join(tmp, "decay.json")
+        run("simulate", "--model", model, "--out", traj, "--decay-out", decay)
+        for path in (traj, decay):
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        run("verify-sector", "--Jp", repr(p.Jp))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("pools", pools())
     print("sweeps", sweeps())
+    print("cli", cli())
