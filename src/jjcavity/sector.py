@@ -6,10 +6,11 @@ grid, and the bound margins are minimized over the grid.  Operator-ordering
 corrections are absorbed into the slack constants delta1/delta2.
 
 Both margins depend on z only through Re z and (Im z)^2, and neither
-decreases as (Im z)^2 grows, even after rounding.  So each check is a 1-D
-scan over Re z along the grid row nearest the real axis, with the same worst
-margin and worst point (the lexicographically smallest minimizer) as a scan
-of the full grid."""
+decreases as (Im z)^2 grows, even after rounding.  So both checks run one
+1-D scan (`_worst`) over Re z along the grid row nearest the real axis, with
+the same worst margin and worst point (the lexicographically smallest
+minimizer) as a scan of the full grid.  The second-derivative check is that
+scan with no |z|^2 term (gamma = inf)."""
 
 from __future__ import annotations
 
@@ -61,15 +62,24 @@ class SectorReport:
         return json.dumps(asdict(self), default=_encode_complex)
 
 
-def _abs_sq_on_axis(f: Callable[[np.ndarray], np.ndarray], name: str,
-                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid axes and |f(z + conj(z))|^2, which depends on Re z only."""
+def _worst(f: Callable[[np.ndarray], np.ndarray], name: str, gamma: float, delta: float,
+           grid: GridSpec) -> tuple[float, complex]:
+    """The least margin |z|^2 / gamma^2 + delta - |f(z + conj(z))|^2 over
+    the grid, and the lexicographically smallest point reaching it.  With
+    gamma = inf the |z|^2 term is exactly 0.0 (never inf / inf), so every y
+    on a row ties and the first wins."""
     xs, ys = grid.axes()
     vals = np.asarray(f(2.0 * xs), dtype=complex)
     if not np.all(np.isfinite(vals)):
         bad = xs[~np.isfinite(vals)][0]
         raise FloatingPointError(f"{name} is not finite at z + conj(z) = {2 * bad}")
-    return xs, ys, np.abs(vals) ** 2
+    lhs = np.abs(vals) ** 2
+    x2, y2 = (xs ** 2, ys ** 2) if gamma < np.inf else (np.zeros_like(xs), np.zeros_like(ys))
+    column = (x2 + y2.min()) / gamma ** 2 + delta - lhs
+    i = int(np.argmin(column))
+    # distinct y^2 can round to one margin: the first y on row i reaching it
+    j = int(np.argmin((x2[i] + y2) / gamma ** 2 + delta - lhs[i]))
+    return float(column[i]), complex(xs[i], ys[j])
 
 
 def verify_sector(
@@ -85,18 +95,9 @@ def verify_sector(
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not 0 <= delta1 < np.inf:
         raise ValueError(f"delta1 must be finite and nonnegative, got {delta1}")
-    xs, ys, lhs = _abs_sq_on_axis(fprime, "f'", grid)
-    x2, y2 = xs ** 2, ys ** 2
-    column = (x2 + y2.min()) / gamma ** 2 + delta1 - lhs
-    i = int(np.argmin(column))
-    # distinct y^2 can round to one margin: the first y on row i reaching it
-    j = int(np.argmin((x2[i] + y2) / gamma ** 2 + delta1 - lhs[i]))
-    worst = float(column[i])
-    return SectorReport(
-        gamma_tested=gamma, delta1=delta1, delta2=float("nan"),
-        worst_margin=worst, worst_point=complex(xs[i], ys[j]),
-        passed=worst >= 0.0, grid_spec=grid,
-    )
+    worst, point = _worst(fprime, "f'", gamma, delta1, grid)
+    return SectorReport(gamma_tested=gamma, delta1=delta1, delta2=float("nan"), worst_margin=worst,
+                        worst_point=point, passed=worst >= 0.0, grid_spec=grid)
 
 
 def verify_second(
@@ -104,18 +105,13 @@ def verify_second(
     delta2: float,
     grid: GridSpec = GridSpec(),
 ) -> SectorReport:
-    """Check |f''(z + conj(z))|^2 <= delta2 over the grid."""
+    """Check |f''(z + conj(z))|^2 <= delta2 over the grid: the scan of
+    `verify_sector` with no |z|^2 term (gamma = inf)."""
     if not 0 <= delta2 < np.inf:
         raise ValueError(f"delta2 must be finite and nonnegative, got {delta2}")
-    xs, ys, lhs = _abs_sq_on_axis(fsecond, "f''", grid)
-    margin = delta2 - lhs
-    i = int(np.argmin(margin))
-    worst = float(margin[i])
-    return SectorReport(
-        gamma_tested=float("nan"), delta1=float("nan"), delta2=delta2,
-        worst_margin=worst, worst_point=complex(xs[i], ys[0]),
-        passed=worst >= 0.0, grid_spec=grid,
-    )
+    worst, point = _worst(fsecond, "f''", np.inf, delta2, grid)
+    return SectorReport(gamma_tested=float("nan"), delta1=float("nan"), delta2=delta2, worst_margin=worst,
+                        worst_point=point, passed=worst >= 0.0, grid_spec=grid)
 
 
 def cosine_sector_constants(Jp: float) -> tuple[float, float, float]:

@@ -132,6 +132,23 @@ class TestValidateModel:
         assert validate_model(dataclasses.replace(paper_model, M=Mnan, gamma=0.0)) == [
             "M has a non-finite entry at (1,2)", "gamma must be positive, got 0.0"]
 
+    def test_bad_m1_entry_reported_once_per_condition(self, paper_model):
+        # M1 - M1^H is a block of M - M^H, and M1 vs M1# the right half of
+        # the block-conjugate residual: neither gets a report of its own
+        M = paper_model.M.copy()
+        M[0, 1] += 1e-3 * np.max(np.abs(M))
+        assert validate_model(dataclasses.replace(paper_model, M=M)) == [
+            "M Hermitian symmetry violated at (0,1): 1.054e+09",
+            "M block-conjugate symmetry: lower row entry (2,3) differs from conjugated upper row by 1.054e+09",
+        ]
+
+    def test_bad_n1_entry_reported_once(self, paper_model):
+        N = paper_model.N.copy()
+        N[0, 1] += 1e-3 * np.max(np.abs(N))
+        assert validate_model(dataclasses.replace(paper_model, N=N)) == [
+            "N block-conjugate symmetry: lower row entry (2,3) differs from conjugated upper row by 1.581e+03",
+        ]
+
 
 class TestPhysicalParams:
     def test_replace_validates_and_rejects_unknown_fields(self, paper_params):

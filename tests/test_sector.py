@@ -79,6 +79,15 @@ class TestGridReference:
         assert rep.worst_margin == worst
         assert rep.worst_point == point
 
+    def test_second_past_the_square_overflow(self):
+        # |z|^2 overflows past 1.3e154; verify_second has no |z|^2 term, so
+        # its margins stay finite there (and raise no RuntimeWarning)
+        g = cosine_second_derivative(2.0)
+        for grid in (GridSpec(1e200, 1e200, 5, 3), GridSpec(1e200, 1.0, 1, 1)):
+            rep = verify_second(g, 4.0, grid)
+            worst, point, _ = grid_second(g, 4.0, grid)
+            assert (rep.worst_margin, rep.worst_point) == (worst, point)
+
     def test_tie_case_has_ties_off_the_axis(self):
         f, gamma, delta1, grid = REFERENCE_CASES[6]
         _, point, n_min = grid_sector(f, gamma, delta1, grid)
@@ -87,6 +96,8 @@ class TestGridReference:
 
     def test_random_grids(self):
         rng = np.random.default_rng(11)
+        # delta2 from its own stream: the verify_sector draws are rng's alone
+        rng2 = np.random.default_rng(12)
         for _ in range(300):
             grid = GridSpec(
                 re_max=float(10 ** rng.uniform(-3, 3)),
@@ -100,6 +111,11 @@ class TestGridReference:
             rep = verify_sector(f, gamma, delta1, grid)
             worst, point, _ = grid_sector(f, gamma, delta1, grid)
             assert (rep.worst_margin, rep.worst_point) == (worst, point), grid
+            g = cosine_second_derivative(float(10 ** rng2.uniform(-2, 10)))
+            delta2 = float(rng2.choice([0.0, 10 ** rng2.uniform(-5, 20)]))
+            rep = verify_second(g, delta2, grid)
+            worst, point, _ = grid_second(g, delta2, grid)
+            assert (rep.worst_margin, rep.worst_point) == (worst, point), (grid, delta2)
 
 
 class TestVerifySector:

@@ -317,6 +317,18 @@ class TestHinfNorm:
         with pytest.raises(ValueError, match="Hurwitz"):
             hinf_norm(ss)
 
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    @pytest.mark.parametrize("value", [np.nan, complex(0.0, -np.inf)], ids=["nan", "inf"])
+    def test_nonfinite_system_rejected(self, monkeypatch, name, value):
+        # checked before any LAPACK call: `_spectra` is never reached
+        monkeypatch.setattr(stability, "_spectra", None)
+        parts = {"A": np.diag([-1.0, -2.0]), "B": np.array([1.0, 1.0]), "C": np.array([-1.0, 2.0])}
+        parts[name] = parts[name].astype(complex)
+        parts[name].flat[-1] = value
+        message = f"hinf_norm takes a finite system: {name} has a non-finite entry"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hinf_norm(StateSpace(**parts))
+
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, np.nan, np.inf])
     def test_bad_rel_tol_rejected(self, paper_model, rel_tol):
         with pytest.raises(ValueError, match="rel_tol"):

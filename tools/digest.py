@@ -1,4 +1,4 @@
-"""Three sha256 digests of jjcavity's outputs, to check that a change
+"""Four sha256 digests of jjcavity's outputs, to check that a change
 keeps them bit for bit.
 
     python3 tools/digest.py
@@ -14,6 +14,12 @@ prints
                       the exit code and stdout of every command at the
                       paper point (`reference_params`), run in-process
                       through `cli.main`, and simulate's two output files
+    checks <sha256>   the verdict `validate_model(m) == []` (not its
+                      messages) for 2000 one-entry perturbations of the
+                      paper point's M or N, then the repr of the
+                      `verify_sector` and `verify_second` reports of the
+                      cosine derivatives on 300 random grids, both drawn
+                      from np.random.default_rng(13)
 
 Run it in two checkouts (copy this file into the older one) and compare the
 lines.  It imports the package from its own checkout's src/ and reads
@@ -45,12 +51,14 @@ import numpy as np  # noqa: E402
 
 import jjcavity as jc  # noqa: E402
 from jjcavity.cli import main  # noqa: E402
+from jjcavity.sector import cosine_first_derivative, cosine_second_derivative  # noqa: E402
 import workloads  # noqa: E402
 from conftest import random_params  # noqa: E402
 
 WORKLOADS = ("point", "threshold", "sweep", "crosscheck")
 SEEDS = (5, 6, 7)
 SWEEP_DRAWS, SWEEP_SEED = 300, 11
+CHECK_DRAWS, GRID_DRAWS, CHECK_SEED = 2000, 300, 13
 COMMANDS = ("build", "certify", "sweep", "threshold", "bode", "sensitivity", "simulate", "verify-sector")
 
 
@@ -113,7 +121,33 @@ def cli() -> str:
     return h.hexdigest()
 
 
+def checks() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(CHECK_SEED)
+    model = jc.build_model(jc.reference_params())
+    for _ in range(CHECK_DRAWS):
+        name = str(rng.choice(["M", "N"]))
+        X = getattr(model, name).copy()
+        i, j = rng.integers(0, X.shape[0], size=2)
+        # 1e-13..1e-5 of the largest entry: both sides of the 1e-9 relative tolerance
+        size = 10 ** rng.uniform(-13, -5) * np.abs(X).max()
+        X[i, j] += size * [1.0, 1j, complex(*rng.standard_normal(2))][rng.integers(3)]
+        h.update(repr(jc.validate_model(dataclasses.replace(model, **{name: X})) == []).encode())
+    for _ in range(GRID_DRAWS):
+        grid = jc.GridSpec(
+            re_max=float(10 ** rng.uniform(-3, 3)), im_max=float(10 ** rng.uniform(-3, 9)),
+            points_re=int(rng.integers(1, 60)), points_im=int(rng.integers(1, 60)),
+        )
+        Jp = float(10 ** rng.uniform(-2, 10))
+        gamma = float(10 ** rng.uniform(-3, 9))
+        delta1, delta2 = (float(rng.choice([0.0, 10 ** rng.uniform(-5, 20)])) for _ in range(2))
+        h.update(repr(jc.verify_sector(cosine_first_derivative(Jp), gamma, delta1, grid)).encode())
+        h.update(repr(jc.verify_second(cosine_second_derivative(Jp), delta2, grid)).encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("pools", pools())
     print("sweeps", sweeps())
     print("cli", cli())
+    print("checks", checks())
