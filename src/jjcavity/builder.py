@@ -12,6 +12,7 @@ constant is gamma = 1/(2*Jp), dimensionless in these units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ import numpy as np
 from .model import SystemModel, sigma_matrix
 from .params import PhysicalParams
 from .sector import cosine_sector_constants
+
+# Sigma of order 2, shared by every `ladder_transform` call.  The scalar
+# square roots below are math.sqrt: correctly rounded like np.sqrt, so the
+# same bits without a numpy call.
+_SIGMA2 = sigma_matrix(2)
+_SIGMA2.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -48,12 +55,12 @@ def quadratic_form_matrix(params: PhysicalParams) -> QuadraticForm:
     entries = {
         (0, 0): w * w / hb,
         (1, 1): 1.0 / hb,
-        (1, 2): -g * np.sqrt(w / hb),
+        (1, 2): -g * math.sqrt(w / hb),
         (2, 2): Uprime / hb,
     }
     A = np.zeros((4, 4))
     for (i, j), v in entries.items():
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise OverflowError(f"quadratic form entry ({i},{j}) is not finite: {v!r}")
         A[i, j] = v
         A[j, i] = v
@@ -67,9 +74,9 @@ def ladder_rebuild_matrix(params: PhysicalParams) -> np.ndarray:
     Inverts a1 = (omega q' + i p'')/sqrt(2 hbar omega) and
     a2 = (phi' + i n'')/sqrt(2)."""
     w, hb = params.omega, params.hbar
-    cq = np.sqrt(hb / (2.0 * w))
-    cp = np.sqrt(hb * w / 2.0)
-    s2 = np.sqrt(2.0)
+    cq = math.sqrt(hb / (2.0 * w))
+    cp = math.sqrt(hb * w / 2.0)
+    s2 = math.sqrt(2.0)
     return np.array(
         [
             [cq, 0.0, cq, 0.0],
@@ -89,10 +96,9 @@ def ladder_transform(form: QuadraticForm, params: PhysicalParams) -> np.ndarray:
     For a symmetric A the raw change of variables already lands in the
     block structure; the final averaging only scrubs rounding noise."""
     T = ladder_rebuild_matrix(params)
-    sig = sigma_matrix(2)
-    M = sig @ (T.T @ form.A @ T)
+    M = _SIGMA2 @ (T.T @ form.A @ T)
     M = (M + M.conj().T) / 2.0
-    M = (M + sig @ M.conj() @ sig) / 2.0
+    M = (M + _SIGMA2 @ M.conj() @ _SIGMA2) / 2.0
     return M
 
 
@@ -112,7 +118,7 @@ def build_coupling(kappa1, kappa2) -> np.ndarray:
 
 def build_zeta() -> np.ndarray:
     """Row Etilde selecting zeta = a2/sqrt(2)."""
-    return np.array([[0.0, 1.0 / np.sqrt(2.0), 0.0, 0.0]], dtype=complex)
+    return np.array([[0.0, 1.0 / math.sqrt(2.0), 0.0, 0.0]], dtype=complex)
 
 
 def sector_constants(params: PhysicalParams) -> tuple[float, float, float]:
@@ -130,11 +136,3 @@ def build_model(params: PhysicalParams) -> SystemModel:
         n_modes=2, M=M, N=N, Etilde=Etilde,
         gamma=gamma, delta1=delta1, delta2=delta2,
     )
-
-
-def quadrature_vector(alpha: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Rebuild (q', p'', n'', phi') from a complex mode pair alpha, via the
-    inverse ladder relations.  Used by the classical-substitution oracle."""
-    alpha = np.asarray(alpha, dtype=complex).reshape(2)
-    v = np.concatenate([alpha, alpha.conj()])
-    return ladder_rebuild_matrix(params) @ v

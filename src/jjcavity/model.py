@@ -109,7 +109,7 @@ def _encode_complex(obj) -> list:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _decode_pairs(name: str, pairs) -> np.ndarray:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .model import SystemModel, _encode_complex, _validated, j_matrix, sigma_matrix
+from .model import SystemModel, _validated, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
 #: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
@@ -35,6 +36,8 @@ HINF_POLISH_STEPS = 6
 #: floor (see `_imag_axis_crossings`)
 IMAG_AXIS_REL_TOL = 1e-8
 
+_EPS = np.finfo(float).eps
+
 
 def _spectra(A: np.ndarray):
     """(eigenvalues, abscissa, hurwitz_tol, hurwitz) of A, or of each matrix
@@ -43,7 +46,7 @@ def _spectra(A: np.ndarray):
     floor, so a change of time unit does not change the verdict."""
     ev = np.linalg.eigvals(A)
     abscissa = ev.real.max(axis=-1)
-    tol = 1e-6 * np.abs(A).max(axis=(-2, -1)) * np.finfo(float).eps
+    tol = 1e-6 * np.abs(A).max(axis=(-2, -1)) * _EPS
     return ev, abscissa, tol, abscissa < -tol
 
 
@@ -87,10 +90,11 @@ class StabilityCertificate:
 
     def to_json(self) -> str:
         # the JSON of json.dumps(asdict(self), default=_encode_complex),
-        # from a shallow dict: asdict deep-copies the eigenvalue tuple
+        # from a shallow dict (asdict deep-copies the eigenvalue tuple) of
+        # floats, bools and lists, so json's shared encoder needs no default
         d = dict(vars(self))
         d["eigenvalues_F"] = [[z.real, z.imag] for z in self.eigenvalues_F]
-        return json.dumps(d, default=_encode_complex)
+        return json.dumps(d)
 
 
 @lru_cache(maxsize=16)
@@ -156,11 +160,12 @@ def transfer_response(ss, s) -> np.ndarray:
     """G at every point of the array `s` (the frequency response when
     s = i w), from one stacked linear solve on the array of sI - A (never
     explicit inversion); a scalar s gives shape (1,).  `ss` is a
-    StateSpace whose A, B and C broadcast against the points: one system
-    over any array s, or, with A[:, None], B[:, None] and C[:, None] of a
-    stack of k systems and a (k, m) array s, each system at its own m
-    points.  A point that is (numerically) an eigenvalue of A fails the
-    whole solve with numpy's LinAlgError.
+    StateSpace, or any object with its complex arrays A, B and C, and they
+    broadcast against the points: one system over any array s, or, with
+    A[:, None], B[:, None] and C[:, None] of a stack of k systems and a
+    (k, m) array s, each system at its own m points.  A point that is
+    (numerically) an eigenvalue of A fails the whole solve with numpy's
+    LinAlgError.
 
     The (..., n, n) array of sI - A is allocated once, at the shape that s
     and A broadcast to (which may be A's, as for a stack with one point):
@@ -168,7 +173,8 @@ def transfer_response(ss, s) -> np.ndarray:
     of s I - A in their order, so every bit and signed zero is the same.
     A second full-size temporary would cost 338 KB at the (40, 33, 4, 4)
     seed stack of a 40-point sweep, and a pass over it."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))[..., None, None]
+    s = np.asarray(s, dtype=complex)
+    s = s.reshape(s.shape + (1, 1) if s.ndim else (1, 1, 1))
     lhs = np.multiply(s, _identity(ss.A.shape[-1]), out=np.empty(np.broadcast(s, ss.A).shape, dtype=complex))
     lhs -= ss.A
     # B at the ndim of lhs: numpy < 2 reads a b of one dimension less as a
@@ -189,10 +195,15 @@ def transfer_eval(ss: StateSpace, s: complex) -> complex:
         ) from exc
 
 
+#: the A, B and C that `_row_gains` hands `transfer_response`: views of a
+#: StateSpace's arrays, so not built or checked again
+_Views = namedtuple("_Views", "A B C")
+
+
 def _row_gains(st: StateSpace, w: np.ndarray) -> np.ndarray:
     """|G(i w)| of each system of the stack `st` at each frequency of its
     own row of the (k, m) array `w`, from one stacked `transfer_response`."""
-    return np.abs(transfer_response(StateSpace(st.A[:, None], st.B[:, None], st.C[:, None]), 1j * w))
+    return np.abs(transfer_response(_Views(st.A[:, None], st.B[:, None], st.C[:, None]), 1j * w))
 
 
 def _row_peaks(st: StateSpace, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +288,11 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     level-set test at `_proof_level` leaves), or after
     HINF_POLISH_STEPS steps.  Which of these it meets depends on its own
     matrices alone, so its result is the same alone and in a stack."""
-    n = st.A.shape[-1]
     A, C = st.A, st.C
-    rhs = np.stack([st.B, st.B, C.swapaxes(1, 2)], axis=1)
+    k, n = A.shape[:2]
+    rhs = np.empty((k, 3, n, 1), dtype=complex)
+    rhs[:, 0] = rhs[:, 1] = st.B
+    rhs[:, 2] = C.swapaxes(1, 2)
     w = np.array(w, dtype=float)
     # [lhs, lhs^2, lhs^T]: off the diagonal lhs is -A and lhs^T is -A^T;
     # each step writes the diagonal i w - A_jj of both, and lhs^2, through
@@ -289,11 +302,14 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     def views(lhs):  # (the diagonals of lhs and lhs^T, lhs, lhs^2)
         return lhs.reshape(len(lhs), 3, n * n)[:, ::2, ::n + 1], lhs[:, 0], lhs[:, 1]
 
-    lhs = np.empty((w.size, 3, n, n), dtype=complex)
+    lhs = np.empty((k, 3, n, n), dtype=complex)
     lhs[:, 0], lhs[:, 2] = -A, -A.swapaxes(1, 2)
     on_diag, lhs1, lhs2 = views(lhs)
     diag = np.diagonal(A, axis1=1, axis2=2)[:, None, :]
-    at = np.arange(w.size)  # the systems still stepping
+    # g_best, w_best: the best (gain, w) of the systems still stepping,
+    # rows `at` of the results, which take them at each compaction and at
+    # the end
+    at, gains, freqs = np.arange(k), np.empty(k), np.empty(k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(HINF_POLISH_STEPS + 1):
             np.subtract(1j * w[:, None, None], diag, out=on_diag)
@@ -302,8 +318,9 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
             g = (C @ x[:, 0, :, None])[:, 0, 0]
             gain = np.abs(g)
             if step:
-                go = gain > g_best[at]
-                g_best[at[go]], w_best[at[go]] = gain[go], w[go]
+                go = gain > g_best
+                np.copyto(g_best, gain, where=go)
+                np.copyto(w_best, w, where=go)
             else:
                 go, g_best, w_best = True, gain, w
             if step == HINF_POLISH_STEPS:
@@ -312,17 +329,23 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
             curv = (2.0 * b - a * a.conj()).real
             delta = a.imag / curv
             flat = curv <= 0.0
-            if flat.any():  # to the pole of the one-pole G = r / (i w - p): a / b = i w - p
+            # any() and all() of a list of at most k flags: a numpy reduction
+            # costs more than the list
+            if any(flat.tolist()):  # to the pole of the one-pole G = r / (i w - p): a / b = i w - p
                 delta = np.where(flat, -(a / b).imag, delta)
             go = go & ((a.imag * delta > 1e-3 * rel_tol) | flat) & np.isfinite(delta)
-            if not go.all():
-                if not go.any():
+            stepping = go.tolist()
+            if not all(stepping):
+                if not any(stepping):
                     break
-                at, diag, C, rhs, lhs = at[go], diag[go], C[go], rhs[go], lhs[go]
+                gains[at], freqs[at] = g_best, w_best
+                at, g_best, w_best = at[go], g_best[go], w_best[go]
+                diag, C, rhs, lhs = diag[go], C[go], rhs[go], lhs[go]
                 on_diag, lhs1, lhs2 = views(lhs)
                 w, delta = w[go], delta[go]
             w = w + delta
-    return g_best, w_best
+    gains[at], freqs[at] = g_best, w_best
+    return gains, freqs
 
 
 def _proof_level(lo, rel_tol: float):
@@ -350,45 +373,69 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     one stacked level-set test at hi = `_proof_level(lo, rel_tol)`; a
     system with no crossing ends with (hi, its polished frequency).  After
     the HINF_MAX_ITER-th test no crossings are measured, and a system still
-    crossing fails with the level, `lo` and frequency of its last polish."""
+    crossing fails with the level, `lo` and frequency of its last polish.
+    A LinAlgError in a `_polish` solve ends a stack of one with a
+    RuntimeError naming the start frequency, the last level (NaN before the
+    first test) and `lo`; a larger stack raises it, so that `_decided`
+    redoes each system alone.  The state is kept in Python lists, one entry
+    per system: numpy calls go only to the stacked arithmetic."""
     ev, abscissa, _, hurwitz = spectra
     k, n = ev.shape
-    lo, freq, hi = np.full((3, k), math.nan)
     out: list = [(math.nan, math.nan)] * k
-    rows = np.flatnonzero(hurwitz)  # the systems still searching
-    lo[rows], freq[rows] = _row_peaks(st.take(rows), _seeds(ev[rows]))
-    for i in rows[lo[rows] == 0.0].tolist():
-        if not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
+    lo, freq, hi = [math.nan] * k, [math.nan] * k, [math.nan] * k
+    searched = hurwitz.nonzero()[0]
+    rows = []  # the systems still searching
+    seeded = _row_peaks(st.take(searched), _seeds(ev[searched]))
+    for i, g, f in zip(searched.tolist(), *(v.tolist() for v in seeded)):
+        lo[i], freq[i] = g, f
+        if g != 0.0:
+            rows.append(i)
+        elif not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
             # G == 0 iff every Markov parameter C A^p B, p < n, is zero
             out[i] = (0.0, 0.0)
         else:
             out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-    rows = rows[lo[rows] != 0.0]
-    best, start, floor = lo[rows], freq[rows], -math.inf
+    best, start = [lo[i] for i in rows], [freq[i] for i in rows]
     for step in range(HINF_MAX_ITER):
         if step:
             candidates = [np.concatenate([c, (c[:-1] + c[1:]) / 2.0]) for c in crossings]
             size = max(c.size for c in candidates)
-            best, start = _row_peaks(st.take(rows), np.array([np.resize(c, size) for c in candidates]))
-            floor = lo[rows]
-        raised = best > floor
-        for i in rows[~raised].tolist():
-            out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
-        rows, start = rows[raised], start[raised]
-        if not rows.size:
+            best, start = (v.tolist() for v in _row_peaks(
+                st.take(rows), np.array([c if c.size == size else np.resize(c, size) for c in candidates])))
+        raised, starts = [], []
+        for i, b, f in zip(rows, best, start):
+            if b > (lo[i] if step else -math.inf):
+                raised.append(i)
+                starts.append(f)
+            else:
+                out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+        rows = raised
+        if not rows:
             break
         sub = st.take(rows)
-        lo[rows], freq[rows] = _polish(sub, start, rel_tol)
-        hi[rows] = _proof_level(lo[rows], rel_tol)
-        crossings = _imag_axis_crossings(sub, hi[rows])
-        crossed = np.array([c.size > 0 for c in crossings])
-        done = rows[~crossed]
-        for i, h, f in zip(done.tolist(), hi[done].tolist(), freq[done].tolist()):
-            out[i] = (h, f)
-        rows, crossings = rows[crossed], [c for c in crossings if c.size]
-        if not rows.size:
+        try:
+            polished = _polish(sub, starts, rel_tol)
+        except np.linalg.LinAlgError as exc:
+            if k > 1:
+                raise  # `_decided` redoes the stack one system at a time
+            return [RuntimeError(
+                f"H-infinity polish failed: {exc} in the solve from {starts[0]:.6e} rad/s; "
+                f"level {hi[0]:.6e}, lower bound {lo[0]:.6e}, abscissa {abscissa[0]:.6e}"
+            )]
+        levels = _proof_level(polished[0], rel_tol)
+        for i, g, f, h in zip(rows, *(v.tolist() for v in (*polished, levels))):
+            lo[i], freq[i], hi[i] = g, f, h
+        crossed, crossings = [], []
+        for i, c in zip(rows, _imag_axis_crossings(sub, levels)):
+            if c.size:
+                crossed.append(i)
+                crossings.append(c)
+            else:
+                out[i] = (hi[i], freq[i])
+        rows = crossed
+        if not rows:
             break
-    for i in rows.tolist():
+    for i in rows:
         out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
     return out
 
@@ -453,8 +500,11 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
     gain at the crossings and the midpoints between consecutive ones.  A
     start whose gain does not exceed `lo`, or a level still crossed after
     HINF_MAX_ITER tests, raises RuntimeError naming the last level, `lo`
-    and its frequency.  `ss` is one system; a stack raises ValueError.  Its A
-    must pass the Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the
+    and its frequency.  So does a singular solve in a polish, naming the
+    start it polished: the polish solves against (i w I - A)^2, which
+    squares the condition number of i w I - A, and on a strongly non-normal
+    A its LU can meet an exact zero pivot.  `ss` is one system; a stack
+    raises ValueError.  Its A must pass the Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the
     axis supremum is not the norm and ValueError is raised; the seeds come
     from that same spectrum.  This is the stack of one of `_hinf_norms`,
     which `certify` and the sweeps run on their stacks.

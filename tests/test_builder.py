@@ -7,14 +7,22 @@ from jjcavity.builder import (
     build_coupling,
     build_model,
     build_zeta,
+    ladder_rebuild_matrix,
     ladder_transform,
     quadratic_form_matrix,
-    quadrature_vector,
     sector_constants,
 )
 from jjcavity.model import j_matrix, sigma_matrix, validate_model
 
 from conftest import random_params
+
+
+def quadrature_vector(alpha: np.ndarray, params) -> np.ndarray:
+    """Rebuild (q', p'', n'', phi') from a complex mode pair alpha, via the
+    inverse ladder relations."""
+    alpha = np.asarray(alpha, dtype=complex).reshape(2)
+    v = np.concatenate([alpha, alpha.conj()])
+    return ladder_rebuild_matrix(params) @ v
 
 
 def classical_hamiltonian_lhs(form, params, alpha):

@@ -467,7 +467,8 @@ def bench_style_models(paper_params, rng, count):
 class TestPolishStart:
     """With no Newton step `_polish` returns each start and, bit for bit,
     the gain `_row_gains` measures there: a start picked by `_row_gains`
-    and then polished carries the very gain it was picked by."""
+    and then polished carries the very gain it was picked by.  With its
+    steps, a stack gives each row what the row gives alone."""
 
     def test_start_gain_is_row_gain(self, paper_model, paper_params, monkeypatch):
         rng = np.random.default_rng(19)
@@ -483,6 +484,90 @@ class TestPolishStart:
                 gain, at = stability._polish(st, w[:, j], stability.HINF_DEFAULT_REL_TOL)
                 assert gain.tolist() == want[:, j].tolist()
                 assert at.tolist() == w[:, j].tolist()
+
+    def test_stack_gives_each_row_alone(self, paper_model, paper_params, monkeypatch):
+        # with the default HINF_POLISH_STEPS the rows stop after 1 to 6
+        # steps, so the stack is compacted between steps; every row still
+        # returns, bit for bit, the (gain, w) it returns alone
+        rng = np.random.default_rng(19)
+        models = [paper_model] + bench_style_models(paper_params, rng, 12)
+        models += [make_random_model(rng) for _ in range(12)]
+        st = realized(models)
+        ev = stability._spectra(st.A)[0]
+        seeded = stability._row_peaks(st, stability._seeds(ev))[1]
+        signed = np.abs(ev).max(axis=1) * rng.uniform(-3.0, 3.0, len(models))
+        solve, sizes = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+        for w in (seeded, signed):
+            sizes.clear()
+            gain, at = stability._polish(st, w, stability.HINF_DEFAULT_REL_TOL)
+            assert sizes[0] == len(models) and len(set(sizes)) >= 3 and 0 < sizes[-1] < len(models)
+            for j in range(len(models)):
+                alone = stability._polish(st.take([j]), w[j:j + 1], stability.HINF_DEFAULT_REL_TOL)
+                assert (gain[j], at[j]) == (alone[0][0], alone[1][0])
+
+
+class TestSingularPolish:
+    """A LinAlgError in `_polish`'s solve ends a stack of one with a
+    RuntimeError that names the start, the level and the lower bound, so
+    `hinf_norm` and `certify` never raise numpy's bare "Singular matrix".  A
+    larger stack raises it, and `_decided` redoes each system alone."""
+
+    @staticmethod
+    def singular_polish(monkeypatch):
+        """np.linalg.solve failing on the polish's [B, B, C^T] right-hand
+        side, and only there."""
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if b.shape[1] == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+
+    def test_stack_of_one_names_the_start(self, paper_model, monkeypatch):
+        st = stability._stack_of_one(paper_model)
+        spectra = stability._spectra(st.A)
+        gain, start = (v[0] for v in stability._row_peaks(st, stability._seeds(spectra[0])))
+        self.singular_polish(monkeypatch)
+        message = (f"H-infinity polish failed: Singular matrix in the solve from {start:.6e} rad/s; "
+                   f"level nan, lower bound {gain:.6e}, abscissa {spectra[1][0]:.6e}")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            hinf_norm(state_space(paper_model))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            certify(paper_model)
+
+    def test_larger_stack_raises_and_decided_redoes_each(self, paper_model, paper_params, monkeypatch):
+        models = [paper_model, build_model(paper_params.replace(kappa2=1e12))]
+        st = realized(models)
+        self.singular_polish(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError):
+            stability._hinf_norms(st, stability._spectra(st.A), stability.HINF_DEFAULT_REL_TOL)
+        out = stability._decided(st, [m.gamma / 2.0 for m in models], stability._certificates)
+        assert [type(r) for r in out] == [RuntimeError, RuntimeError]
+        assert all(str(r).startswith("H-infinity polish failed: Singular matrix") for r in out)
+
+    def test_recorded_nonnormal_system(self):
+        # E = 6, seed 1, draw 192 of the non-normal family A = Q (D + T) Q^H
+        # (n = 3, max |T| about 1e6 times the spectrum): the polish's LU met
+        # an exact zero pivot there.  Whether it still does depends on the
+        # LAPACK build, but numpy's bare error never escapes
+        rng = np.random.default_rng(1)
+        for _ in range(193):
+            n = int(rng.integers(2, 7))
+            Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            D = np.diag(-10 ** rng.uniform(-2, 0.3, n) + 1j * rng.uniform(-2, 2, n))
+            T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) * 10 ** rng.uniform(0, 6)
+            B, C = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        ss = StateSpace(Q @ (D + T) @ Q.conj().T, B, C)
+        assert n == 3 and is_hurwitz(ss.A)
+        try:
+            norm, _ = hinf_norm(ss)
+        except RuntimeError as exc:
+            assert str(exc).startswith("H-infinity ")
+        else:
+            assert norm > 0.0
 
 
 class TestRepeatedCrossings:

@@ -1,4 +1,5 @@
-"""LAPACK work per op of the bench workloads, and minor page faults per op.
+"""LAPACK work per op of the bench workloads, function calls per op, and
+minor page faults per op.
 
     python3 tools/opcount.py
 
@@ -9,6 +10,15 @@ numpy.linalg.solve, eigvals and eig, the matrices they take (a call on a
 counts come from one pass over the pool and do not depend on the machine,
 so they show whether a change keeps LAPACK's work: run this in two
 checkouts (copy this file into the older one) and compare the tables.
+
+The "all calls/op" column counts the Python and C function calls of an
+op: the `call` and `c_call` events of `sys.setprofile` over one pass,
+after the LAPACK pass has warmed every cache.  The count is deterministic
+for a given Python and numpy, so it shows on any machine how much
+interpreter and numpy-wrapper work a change adds or removes, where
+timings need many runs.  It does not see array operators such as `a + b`
+or `x[i]`, nor numpy ufuncs such as `np.abs(x)` (a ufunc is not a C
+function to the profiler), nor the work done inside one call.
 
 The last column is the minor page faults per op (getrusage ru_minflt) over
 5 untraced passes after one warm pass.  It depends on the allocator
@@ -73,6 +83,25 @@ def lapack_counts(op, pool) -> dict:
     return {name: (calls[name], matrices[name]) for name in FUNCTIONS}
 
 
+def function_calls(op, pool) -> int:
+    """Python and C function calls (profile events `call` and `c_call`)
+    summed over one pass of `op` over `pool`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for p in pool:
+            op(p)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def faults_per_op(op, pool) -> float:
     """Minor page faults per op over PASSES passes, after one warm pass."""
     for p in pool:
@@ -84,10 +113,11 @@ def faults_per_op(op, pool) -> float:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (PASSES * len(pool))
 
 
-def measure(name: str) -> tuple[dict, float, int]:
-    """(`lapack_counts`, `faults_per_op`, pool size) of one workload."""
+def measure(name: str) -> tuple[dict, int, float, int]:
+    """(`lapack_counts`, `function_calls`, `faults_per_op`, pool size) of
+    one workload."""
     op, pool = workloads.WORKLOADS[name].op, workloads.make_inputs(name, SEED)
-    return lapack_counts(op, pool), faults_per_op(op, pool), len(pool)
+    return lapack_counts(op, pool), function_calls(op, pool), faults_per_op(op, pool), len(pool)
 
 
 def fmt(x: float) -> str:
@@ -97,16 +127,16 @@ def fmt(x: float) -> str:
 
 def main() -> int:
     print(f"{'workload':<12}{'function':<10}{'calls/op':>10}{'matrices/op':>13}  {'by order':<22}"
-          f"minflt/op (allocator-dependent)")
+          f"{'all calls/op':>14}  minflt/op (allocator-dependent)")
     for name in WORKLOADS:
         # a fresh process per workload (one at a time), for the page faults
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            counts, faults, ops = pool.submit(measure, name).result()
+            counts, every_call, faults, ops = pool.submit(measure, name).result()
         for j, (fn, (calls, by_order)) in enumerate(counts.items()):
             orders = ", ".join(f"n{n} {fmt(m / ops)}" for n, m in sorted(by_order.items()))
             print(f"{name if j == 0 else '':<12}{fn:<10}{fmt(calls / ops):>10}"
                   f"{fmt(sum(by_order.values()) / ops):>13}  {orders:<22}"
-                  f"{fmt(faults) if j == 0 else ''}")
+                  f"{fmt(every_call / ops) if j == 0 else '':>14}  {fmt(faults) if j == 0 else ''}")
     return 0
 
 
