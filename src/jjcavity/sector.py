@@ -3,14 +3,8 @@
 The operator inequalities are checked through their commutative surrogate:
 the scalar operator is replaced by a complex number z on a rectangular
 grid, and the bound margins are minimized over the grid.  Operator-ordering
-corrections are absorbed into the slack constants delta1/delta2.
-
-Both margins depend on z only through Re z and (Im z)^2, and neither
-decreases as (Im z)^2 grows, even after rounding.  So both checks run one
-1-D scan (`_worst`) over Re z along the grid row nearest the real axis, with
-the same worst margin and worst point (the lexicographically smallest
-minimizer) as a scan of the full grid.  The second-derivative check is that
-scan with no |z|^2 term (gamma = inf)."""
+corrections are absorbed into the slack constants delta1/delta2.  Both
+checks run one 1-D scan, `_worst`."""
 
 from __future__ import annotations
 
@@ -65,9 +59,15 @@ class SectorReport:
 def _worst(f: Callable[[np.ndarray], np.ndarray], name: str, gamma: float, delta: float,
            grid: GridSpec) -> tuple[float, complex]:
     """The least margin |z|^2 / gamma^2 + delta - |f(z + conj(z))|^2 over
-    the grid, and the lexicographically smallest point reaching it.  With
-    gamma = inf the |z|^2 term is exactly 0.0 (never inf / inf), so every y
-    on a row ties and the first wins."""
+    the grid, and the lexicographically smallest point (Re z, Im z)
+    reaching it.
+
+    The margin depends on z only through Re z and (Im z)^2, and does not
+    decrease as (Im z)^2 grows, even after rounding.  So one scan over Re z
+    along the grid row nearest the real axis gives the same worst margin
+    and worst point as a scan of the full grid, ties included.  With
+    gamma = inf (the second-derivative check) the |z|^2 term is exactly 0.0
+    (never inf / inf), so every y on a row ties and the first wins."""
     xs, ys = grid.axes()
     vals = np.asarray(f(2.0 * xs), dtype=complex)
     if not np.all(np.isfinite(vals)):

@@ -14,13 +14,12 @@ import numpy as np
 
 from .stability import spectral_abscissa
 
-#: explicit-scheme stability guard: dt * max-abs(F) must stay below this
+#: the explicit scheme's step-size guard (see `integrate_mean`)
 MAX_STEP_FRACTION = 0.1
 #: relative floor (vs the initial norm) below which samples are dropped
 #: from the decay fit
 FIT_FLOOR_REL = 1e-12
-#: samples filled per matrix-vector product: the step-matrix powers P^1..P^k
-#: are built once and each block is P^j v for j = 1..k from the block's start
+#: samples filled per matrix-vector product (see `integrate_mean`)
 STEP_BLOCK = 256
 
 
@@ -62,11 +61,24 @@ def default_timescales(F: np.ndarray) -> tuple[float, float]:
 
 
 def integrate_mean(F: np.ndarray, v0: np.ndarray, t_end: float, dt: float) -> Trajectory:
-    """Classic 4th-order explicit integration of dv/dt = F v, sampled every
-    dt.  On a linear system the four stages are one step matrix: v <- P v,
-    so a block of `STEP_BLOCK` samples is P^j v, j = 1..STEP_BLOCK: one
-    (STEP_BLOCK n x n) matrix-vector product with the powers stacked by row.
-    A NaN or infinite entry of F or v0 raises ValueError before any step."""
+    """Classic 4th-order explicit (RK4) integration of dv/dt = F v, sampled
+    every dt, with the step-size guard dt max |F_ij| <= MAX_STEP_FRACTION
+    = 0.1.  A NaN or infinite entry of F or v0 raises ValueError before any
+    step.
+
+    On a linear system the four stages compose to one step matrix
+    P = I + h F (I + h F/2 (I + h F/3 (I + h F/4))), h = dt, so a block of
+    `STEP_BLOCK` samples is P^j v, j = 1..STEP_BLOCK, from the block's first
+    state v: one (STEP_BLOCK n x n) matrix-vector product with the powers
+    stacked by row, which are built once by doubling.  On the physical F
+    and the random Hurwitz F of the tests this matches the stage-by-stage
+    loop within 1e-10 relative per sample.  That is not a general bound:
+    the two round differently, and a strongly non-normal F amplifies the
+    difference.  On 40 draws F = Q (D + T) Q^H (n = 2-6, Q random unitary,
+    Re D in [-2, -0.2], T strictly upper Gaussian times U(1, 30),
+    dt = 0.05 / max |F_ij|, 100-20 000 steps) they differed by up to 2e-5
+    relative per sample with a real D, and 2e-3 with Im D in [-2, 2],
+    inside the decay fit's window."""
     F = np.asarray(F, dtype=complex)
     v0 = np.asarray(v0, dtype=complex).reshape(-1)
     if F.shape != (v0.size, v0.size):

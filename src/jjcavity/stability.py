@@ -2,11 +2,10 @@
 function, H-infinity norm, and the final certificate.
 
 The Hurwitz test, the norm search and the verdict run on a stack of
-models of one order at once, each step one stacked LAPACK call; a single
-model is the stack of one.  Every Hurwitz verdict and spectral abscissa
-comes from `_spectra`, computed where it is used, and so do the resonance
-rows of `sweep.bode_csv`; `simulate.slow_mode_vector` takes its own
-spectrum."""
+models of one order at once (`_decided`), each step one stacked LAPACK
+call.  Every Hurwitz verdict and spectral abscissa comes from `_spectra`,
+computed where it is used, and so do the resonance rows of
+`sweep.bode_csv`; `simulate.slow_mode_vector` takes its own spectrum."""
 
 from __future__ import annotations
 
@@ -21,9 +20,7 @@ import numpy as np
 from .model import SystemModel, _validated, j_matrix, sigma_matrix
 
 HINF_DEFAULT_REL_TOL = 1e-6
-#: the tightest rel_tol `hinf_norm` accepts: near the peak the level-set
-#: eigenvalue pair is nearly double, and the float eigen test resolves its
-#: crossings only to about sqrt(eps) times the matrix scale
+#: the tightest rel_tol `hinf_norm` accepts; its docstring gives the reason
 HINF_MIN_REL_TOL = 1e-7
 #: level-set iterations before `hinf_norm` gives up; the iteration converges
 #: quadratically and needs at most a handful
@@ -32,8 +29,7 @@ HINF_MAX_ITER = 30
 #: peak needs two or three, a broad skewed one (large kappa2) up to six
 HINF_POLISH_STEPS = 6
 #: imaginary-axis detection threshold, relative to the scale of the
-#: level-set matrix, max(max |A|, max |B| max |C| / L), with no absolute
-#: floor (see `_imag_axis_crossings`)
+#: level-set matrix that `_imag_axis_crossings` defines
 IMAG_AXIS_REL_TOL = 1e-8
 
 _EPS = np.finfo(float).eps
@@ -219,7 +215,9 @@ def _seeds(eigenvalues: np.ndarray) -> np.ndarray:
     """The seed frequencies of each system of a stack, one row each, from
     its spectrum: w = 0, Im lambda(A), +-|lambda(A)|, n multiples of
     max |lambda(A)| beyond it, and the midpoint of each consecutive pair of
-    those."""
+    those.  Those are n + 1 or more distinct frequencies, and a strictly
+    proper G that is not identically zero vanishes at no more than n - 1 of
+    them."""
     k, n = eigenvalues.shape
     # the state matrix has complex coefficients, so |G(i w)| is not symmetric
     # in w and the seeds run over the whole signed axis
@@ -287,7 +285,10 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     rise below rel_tol/1000 (far inside the gap rel_tol/5 that the
     level-set test at `_proof_level` leaves), or after
     HINF_POLISH_STEPS steps.  Which of these it meets depends on its own
-    matrices alone, so its result is the same alone and in a stack."""
+    matrices alone, so its result is the same alone and in a stack.  The
+    solve against lhs^2 squares the condition number of lhs: on a strongly
+    non-normal A its LU can meet an exact zero pivot, and numpy's
+    LinAlgError is raised (`_hinf_norms` names it)."""
     A, C = st.A, st.C
     k, n = A.shape[:2]
     rhs = np.empty((k, 3, n, 1), dtype=complex)
@@ -363,22 +364,26 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     RuntimeError that ends its iteration, and (nan, nan) per system that is
     not Hurwitz, whose norm is undefined; those never reach a solve.
 
-    Only the Hurwitz systems are seeded and searched.  Each step picks one
-    start per system still searching, with one `_row_peaks` over all of
-    them: first its best seed, later the best of
-    its crossings and the midpoints between consecutive ones, each list
-    padded with repeats of its own entries to the longest.  A start whose
-    gain does not exceed the system's `lo` (at the seeds -inf, so only a
-    NaN) ends it with `_failed`.  The others take one `_polish` and then
-    one stacked level-set test at hi = `_proof_level(lo, rel_tol)`; a
-    system with no crossing ends with (hi, its polished frequency).  After
+    The level-set iteration of Bruinsma & Steinbuch on the Hurwitz systems.
+    Each step picks one start per system still searching, with one
+    `_row_peaks` over all of them: first its best seed (`_seeds`), later the
+    best of its crossings and the midpoints between consecutive ones, each
+    list padded with repeats of its own entries to the longest.  A start
+    whose gain does not exceed the system's `lo` (at the seeds -inf, so only
+    a NaN) ends it with `_failed`.  The others take one `_polish`, whose
+    measured gain is the new `lo`, a lower bound on the norm, and then one
+    stacked level-set test at hi = `_proof_level(lo, rel_tol)`; a system
+    with no crossing ends with (hi, its polished frequency), where the gain
+    on 90 closed-form draws of the tests is within 3e-10 of the peak.  So
+    the bound comes from that test alone: the polish only makes the first
+    test more often the last (at the paper point it is the only one).  After
     the HINF_MAX_ITER-th test no crossings are measured, and a system still
-    crossing fails with the level, `lo` and frequency of its last polish.
-    A LinAlgError in a `_polish` solve ends a stack of one with a
-    RuntimeError naming the start frequency, the last level (NaN before the
-    first test) and `lo`; a larger stack raises it, so that `_decided`
-    redoes each system alone.  The state is kept in Python lists, one entry
-    per system: numpy calls go only to the stacked arithmetic."""
+    crossing fails with the level, `lo` and frequency of its last polish.  A
+    LinAlgError in a `_polish` solve ends a stack of one with a RuntimeError
+    naming the start frequency, the last level (NaN before the first test)
+    and `lo`; a larger stack raises it, so that `_decided` redoes each
+    system alone.  The state is kept in Python lists, one entry per system:
+    numpy calls go only to the stacked arithmetic."""
     ev, abscissa, _, hurwitz = spectra
     k, n = ev.shape
     out: list = [(math.nan, math.nan)] * k
@@ -477,56 +482,40 @@ def _norm_freq(st, gain: float) -> float | None:
 
 def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[float, float]:
     """(norm, frequency) of G on the imaginary axis: an upper bound on
-    sup |G(i w)| and the frequency of the largest gain measured.
+    sup |G(i w)|, the `_proof_level` of the gain measured at the returned
+    frequency.
 
     The level-set iteration of Bruinsma & Steinbuch (Systems & Control
-    Letters 14, 1990), with Newton-polished peaks.  Each step polishes one
-    start frequency into the lower bound `lo`.  The first start is the
-    frequency of the largest gain at w = 0, Im lambda(A), +-|lambda(A)|, n
-    multiples of max |lambda(A)| beyond it, and the midpoints between
-    consecutive ones.  Those are n + 1 or more distinct frequencies, and a
-    strictly proper G that is not identically zero vanishes at no more than
-    n - 1 of them.  Newton steps on |G(i w)|^2 move the start onto the
-    local maximum it sits by (`_polish`; where |G|^2 is not concave, a step
-    to the frequency of the locally dominant pole instead).  A step is kept
-    only where the gain measured at its end rose, so `lo` is always a
-    measured |G(i w)|: a lower bound on the norm.  Each step then tests the
-    level hi = (1 + rel_tol/5) lo with the imaginary-axis test of Boyd,
-    Balakrishnan & Kabamba (1989), valid for complex state matrices.  No
-    crossing means the gain stays below hi on the whole (signed) axis, and
-    hi is returned with the frequency of `lo`: the bound comes from that
-    test alone, and the polish only makes the first test more likely to be
-    the last.  Otherwise the next start is the frequency of the largest
-    gain at the crossings and the midpoints between consecutive ones.  A
-    start whose gain does not exceed `lo`, or a level still crossed after
-    HINF_MAX_ITER tests, raises RuntimeError naming the last level, `lo`
-    and its frequency.  So does a singular solve in a polish, naming the
-    start it polished: the polish solves against (i w I - A)^2, which
-    squares the condition number of i w I - A, and on a strongly non-normal
-    A its LU can meet an exact zero pivot.  `ss` is one system; a stack
-    raises ValueError.  Its A must pass the Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the
-    axis supremum is not the norm and ValueError is raised; the seeds come
-    from that same spectrum.  This is the stack of one of `_hinf_norms`,
-    which `certify` and the sweeps run on their stacks.
+    Letters 14, 1990) with Newton-polished peaks and the imaginary-axis
+    test of Boyd, Balakrishnan & Kabamba (1989), valid for complex state
+    matrices: the stack of one of `_hinf_norms`, which `certify` and the
+    sweeps run on their stacks.  `ss` is one system (a stack raises
+    ValueError) with finite A, B and C (a NaN or infinite entry raises
+    ValueError naming it, before any LAPACK call), and its A must pass the
+    Hurwitz rule of `_spectra` (`is_hurwitz`), otherwise the axis supremum
+    is not the norm and ValueError is raised.  A G that is identically zero
+    gives (0, 0).  A start whose gain does not exceed the lower bound, a
+    level still crossed after HINF_MAX_ITER tests, or a singular solve in a
+    polish raises RuntimeError naming the last level, the lower bound and
+    its frequency (for the polish, the start it polished).
 
-    `ss` is searched as given.  The axis test's tolerance follows the scale
-    rule of `_imag_axis_crossings`, max(max |A|, max |B| max |C| / L), so
-    the norm does not change under B c, C / c or a change of time unit
-    (A w, B w, C); a badly scaled A itself, as from a diagonal similarity
-    T A T^-1 with T spread over many decades, can still defeat the test.
-    Nor is the bound rigorous on a strongly non-normal A: eigvals can move a
-    level-set eigenvalue that lies on the axis off it by far more than the
-    tolerance, and a level that the gain crosses then passes (on random
-    A = Q (D + T) Q^H, T strictly upper and about 1e3 times the spectrum, 27
-    of 194 bounds fell below a 40-digit gain, by up to 44%).
+    `ss` is searched as given.  The axis test's scale rule
+    (`_imag_axis_crossings`) leaves the norm unchanged under B c, C / c
+    and a change of time unit; a badly scaled A itself, as from a diagonal
+    similarity T A T^-1 with T spread over many decades, can still defeat
+    the test.  Nor is the bound rigorous on a strongly non-normal A: eigvals
+    can move a level-set eigenvalue that lies on the axis off it by far
+    more than the tolerance, and a level that the gain crosses then passes
+    (on random A = Q (D + T) Q^H, T strictly upper and about 1e3 times the
+    spectrum, 27 of 194 bounds fell below a 40-digit gain, by up to 44%).
 
     rel_tol below HINF_MIN_REL_TOL = 1e-7 raises ValueError.  Near the peak
     the level-set eigenvalue pair is nearly double, so the float eigen test
     resolves a crossing only to about sqrt(eps) times the matrix scale,
     the order of its own detection tolerance.  Below the floor the iteration
-    stalls on physical models: on 300 `random_params` draws times 25 kappa2
-    values in [1e10, 1e14] it fails on 4 at 1e-8, 26 at 1e-9 and 147 at
-    1e-10, and on none at 1e-7."""
+    stalls on physical models: on 300 `random_params` draws (seed 5) times
+    25 kappa2 values in [1e10, 1e14] it fails on 4 at 1e-8, 26 at 1e-9 and
+    147 at 1e-10, and on none at 1e-7 or at the default 1e-6."""
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if rel_tol < HINF_MIN_REL_TOL:
@@ -547,7 +536,10 @@ def hinf_norm(ss: StateSpace, rel_tol: float = HINF_DEFAULT_REL_TOL) -> tuple[fl
 
 def _decided(st: StateSpace, gamma_half: list, decide) -> list:
     """`decide(st, spectra, gamma_half)` on the stack `st`, its spectra from
-    one eigvals call: one result per system.  A LinAlgError from a stacked
+    one eigvals call: one result per system, the core that `certify` and
+    `is_certified` (each on a stack of one) and the sweeps decide with.
+    LAPACK factors each matrix of a stack on its own, so each result is bit
+    for bit the one its system gets alone.  A LinAlgError from a stacked
     LAPACK call redoes the stack one system at a time, so that only the
     systems that fail alone carry the error."""
     try:
@@ -593,16 +585,13 @@ def is_certified(model: SystemModel) -> bool:
     """The verdict alone: F is Hurwitz and the gain of the perturbation
     channel stays strictly below gamma/2 on the whole imaginary axis.
 
-    The second condition is refuted outright when the gain measured at
-    some frequency Im lambda(F) reaches gamma/2 (see `_verdicts`);
-    otherwise it is one imaginary-axis eigenvalue test of the level-set
-    matrix at gamma/2, the test `hinf_norm` iterates with.  No norm is
-    computed.  A refutation agrees with `certify`, whose upper bound is at
-    least its seed gains at those same frequencies.  The verdict agrees
-    with `certify(model).certified` except where the norm lies within
-    `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then refuses, because
-    its upper bound is not below gamma/2, while the level-set test decides
-    at gamma/2 itself."""
+    No norm is computed: after `certify`'s validation and Hurwitz test, the
+    verdict is a refusal by a measured gain, or one imaginary-axis test of
+    the level-set matrix at gamma/2 (`_verdicts`).  It agrees with
+    `certify(model).certified` except where the norm lies within
+    `hinf_norm`'s rel_tol/5 of gamma/2: `certify` then refuses, because its
+    upper bound is not below gamma/2, while the level-set test decides at
+    gamma/2 itself."""
     return _raised(_decided(_stack_of_one(model), [model.gamma / 2.0], _verdicts)[0])
 
 

@@ -31,9 +31,9 @@ from .stability import certify  # noqa: F401  (still reachable as sweep.certify;
 
 THRESHOLD_AUDIT_POINTS = 20
 #: tracked peaks after which `find_threshold` gives up, a safety net: on
-#: 300 `random_params` draws it takes at most 5, and bisection alone takes
-#: 29 from the widest flip interval of positive floats (log width about 75)
-#: down to the tightest step, rel_tol/4 = 2.5e-7
+#: 300 `random_params` draws it takes at most 5 (2.95 on average), and
+#: bisection alone takes 29 from the widest flip interval of positive floats
+#: (log width about 75) down to the tightest step, rel_tol/4 = 2.5e-7
 THRESHOLD_MAX_PEAKS = 100
 #: dF/dkappa2 as a column: the damping term of F is
 #: -(1/2) J N^dag J N = -diag(kappa1, kappa2, kappa1, kappa2)/2
@@ -103,11 +103,10 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     `kappa2` at once: one result per pair, in order, or the exception that
     building, validating or deciding its model raised.
 
-    F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: M,
-    Etilde and the sector constants do not depend on them, and
-    N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)).  So
-    only N changes from row to row.  M, Etilde, gamma and the deltas come
-    from the one build in `base`, validated once there.  The pairs that
+    F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: only
+    N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)) depends
+    on them.  So M, Etilde and the sector constants gamma, delta1, delta2
+    come from the one build in `base`, validated once there.  The pairs that
     `params.replace` accepts, both rates finite and nonnegative, are
     realized by one `_rows` call and decided as one stack, or all carry the
     base build's error.  Any other pair carries the error of
@@ -166,23 +165,19 @@ def _debug_logger():
 
 def _peak_at(base: _Base, kappa2: float, w: float | None):
     """(gain, w*, d gain / dkappa2, realization) of the model at one
-    junction coupling value: a peak of its gain tracked from the start
-    frequency w.
+    junction coupling value, on the base build (`_sweep`): a peak of its
+    gain climbed by `stability._climb` from the start frequency w.
 
-    The model is the one with that kappa2 and the one validated base
-    build's M, Etilde and gamma, realized as a stack of one by `_rows`,
-    and its peak is climbed by `stability._climb`.  The gain is a measured
-    |G(i w*)|, so a lower bound on the norm; it is the norm only if w*
-    sits on the highest peak, which `_norm_freq` checks.  `find_threshold`
-    calls this only after its audit has decided rows on `base`, so the base
-    is a validated model, and kappa2 lies inside the flip interval, so its
-    pair passes `params.replace`.  The slope comes from the envelope
-    theorem at w*: d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with
-    R = (i w* I - F)^-1 and E = dF/dkappa2 = -diag(0, 1, 0, 1)/2, from one
-    stacked solve for R B and R^H C^H.  F is Hurwitz wherever the search
-    calls this: its spectrum, -kappa2/2 (twice) and -kappa1/2 +- i omega,
-    is Hurwitz at every kappa2 > 0 once it is at the flip interval's
-    certified end."""
+    The gain is a measured |G(i w*)|, so a lower bound on the norm; it is
+    the norm only if w* sits on the highest peak, which `_norm_freq`
+    checks.  The slope comes from the envelope theorem at w*:
+    d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with R = (i w* I - F)^-1
+    and E = dF/dkappa2 (`DF_DKAPPA2`), from one stacked solve for R B and
+    R^H C^H.  `find_threshold` calls this only inside the audit's flip
+    interval, so the base is a validated model, the pair passes
+    `params.replace`, and F is Hurwitz: its spectrum, -kappa2/2 (twice)
+    and -kappa1/2 +- i omega, is Hurwitz at every kappa2 > 0 once it is at
+    the flip interval's certified end."""
     st = _rows(base.model, base.params.kappa1, [kappa2])
     gain, w = _climb(st, w)
     F, B, C = st.A[0], st.B[0], st.C[0]
@@ -202,8 +197,8 @@ def find_threshold(
     Requires certified(lo) = False and certified(hi) = True.  Monotonicity
     of the certified predicate is observed rather than proven, so a 20-point
     log grid from lo to hi (exactly) is audited first, in one stacked
-    verdict call (`_verdicts`); its end verdicts are the bracket
-    checks, and a certified point followed by an uncertified one raises
+    verdict call (`_verdicts`); its end verdicts are the bracket checks,
+    and a certified point followed by an uncertified one raises
     RuntimeError.  The two audit points where the verdict flips bound the
     search.  From their geometric midpoint, Newton runs on
     f(x) = log gain - log(gamma/2) in x = log kappa2, with the gain of a
@@ -214,21 +209,23 @@ def find_threshold(
     instead (the norm is a max over frequencies, so it is only piecewise
     smooth in kappa2).  Once a step is below rel_tol/4, one level-set test
     on that step's model checks that its tracked gain is the norm
-    (`_norm_freq`).  If it is not, the peak was a local one: tracking goes
-    on from the frequency of one full norm at the same kappa2, in the
-    bracket the verdicts alone have shown, since the gains of a local peak
-    may have shrunk it wrongly.  If it is, the step is taken and one
-    stacked verdict call at kappa2*(1 -+ rel_tol/2) must give
-    [False, True], and kappa2* is returned.  A failed pair shrinks the
-    bracket to what the verdicts alone have shown, and the search goes on
-    from its midpoint.
-    F is affine in the coupling rates, so the model is built once: every
-    verdict and peak takes its N from its kappa2 and M, Etilde, gamma and
-    the deltas from that one build (see `_sweep`).
+    (`_norm_freq`).  If it is not, the peak was a local one (on 25 of 300
+    `random_params` draws on [1e10, 1e14]): tracking goes on from the
+    frequency of one full norm at the same kappa2, in the bracket the
+    verdicts alone have shown, since the gains of a local peak may have
+    shrunk it wrongly.  If it is, the step is taken and one stacked verdict
+    call at kappa2*(1 -+ rel_tol/2) must give [False, True], and kappa2* is
+    returned.  A failed pair shrinks the bracket to what the verdicts alone
+    have shown, and the search goes on from its midpoint.  The model is
+    built and validated once (`_sweep`).
+
+    At the paper point on [1e11, 1e13], kappa2* = 2.1696638e12 is the
+    closed form to 8 digits: the root of a measured peak carries none of
+    the ~2e-7 bias of the root of the norm's upper bound (2.1696641e12).
 
     rel_tol must lie in [HINF_DEFAULT_REL_TOL, 2) = [1e-6, 2): the pair's
-    verdicts are float level-set tests, which near the flip resolve the gain
-    only to about HINF_MIN_REL_TOL = 1e-7 (see `hinf_norm`), and the lower
+    verdicts are float level-set tests, which near the flip cannot resolve
+    a tighter bracket (the resolution floor of `hinf_norm`), and the lower
     verification point kappa2*(1 - rel_tol/2) must stay positive."""
     if not (0 < lo < hi < math.inf):
         raise ValueError(f"need finite 0 < lo < hi, got lo={lo}, hi={hi}")

@@ -36,8 +36,8 @@ def assert_matches_rk4_loop(F, v0, t_end, dt):
     # the two orderings round differently: ~eps per step, and up to ~1e4
     # steps, so 1e-10 leaves two orders of headroom over 2.2e-16 * 1e4 on
     # the physical and random Hurwitz F used here; a strongly non-normal F
-    # amplifies the difference far beyond that (see README, "Time
-    # integration")
+    # amplifies the difference far beyond that (see `integrate_mean`'s
+    # docstring)
     err = np.linalg.norm(traj.v - ref, axis=1)
     assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=1))
 
