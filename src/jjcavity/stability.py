@@ -105,14 +105,22 @@ def _constants(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+def _uncoupled(M: np.ndarray, Etilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, B, C) = (-i J M, J Sigma Etilde^T, Etilde# Sigma): the parts of
+    the realization that the coupling matrix N does not touch, of one model
+    or of each model of a stack of one order."""
+    J, sig, J_sig = _constants(M.shape[-1] // 2)
+    return -1j * (J @ M), J_sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig
+
+
 def _realization(M: np.ndarray, N: np.ndarray, Etilde: np.ndarray) -> StateSpace:
     """The realization (A, B, C) of the perturbation channel of one model,
     or of each model of a stack of one order, n modes from the 2n x 2n M:
-    A = F = -i J M - (1/2) J N^dag J N, B = J Sigma Etilde^T,
-    C = Etilde# Sigma, D = 0."""
-    J, sig, J_sig = _constants(M.shape[-1] // 2)
-    F = -1j * (J @ M) - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N)
-    return StateSpace(F, J_sig @ Etilde.swapaxes(-1, -2), Etilde.conj() @ sig)
+    A = F = P - (1/2) J N^dag J N, with P, B = J Sigma Etilde^T and
+    C = Etilde# Sigma from `_uncoupled`, D = 0."""
+    P, B, C = _uncoupled(M, Etilde)
+    J = _constants(M.shape[-1] // 2)[0]
+    return StateSpace(P - 0.5 * (J @ N.conj().swapaxes(-1, -2) @ J @ N), B, C)
 
 
 def build_F(model: SystemModel) -> np.ndarray:
@@ -288,7 +296,7 @@ def _polish(st: StateSpace, w: np.ndarray, rel_tol: float) -> tuple[np.ndarray, 
     matrices alone, so its result is the same alone and in a stack.  The
     solve against lhs^2 squares the condition number of lhs: on a strongly
     non-normal A its LU can meet an exact zero pivot, and numpy's
-    LinAlgError is raised (`_hinf_norms` names it)."""
+    LinAlgError is raised (`_hinf_norms` and `sweep._peak_at` name it)."""
     A, C = st.A, st.C
     k, n = A.shape[:2]
     rhs = np.empty((k, 3, n, 1), dtype=complex)
@@ -459,13 +467,10 @@ def _raised(result):
     return result
 
 
-def _climb(st: StateSpace, w: float | None) -> tuple[float, float]:
-    """(gain, w*) of the one system of `st`, for `sweep`'s threshold
-    search: one `_polish` from the frequency w, or, when w is None, from
-    the `_row_peaks` pick among the `_seeds` of its spectrum, the start
-    `certify`'s norm search takes first."""
-    start = _row_peaks(st, _seeds(_spectra(st.A)[0]))[1] if w is None else np.array([w])
-    return tuple(float(v[0]) for v in _polish(st, start, HINF_DEFAULT_REL_TOL))
+def _seed_start(st: StateSpace) -> float:
+    """The `_row_peaks` pick among the `_seeds` of the spectrum of the one
+    system of `st`: the start `certify`'s norm search takes first."""
+    return float(_row_peaks(st, _seeds(_spectra(st.A)[0]))[1][0])
 
 
 def _norm_freq(st, gain: float) -> float | None:

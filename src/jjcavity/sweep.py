@@ -10,18 +10,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .builder import build_coupling, build_model
+from .builder import build_model
 from .model import SystemModel, _validated
 from .params import PhysicalParams
 from .stability import (
     HINF_DEFAULT_REL_TOL,
+    StateSpace,
     _certificates,
-    _climb,
     _decided,
+    _identity,
     _norm_freq,
+    _polish,
     _raised,
-    _realization,
+    _seed_start,
     _spectra,
+    _uncoupled,
     _verdicts,
     state_space,
     transfer_eval,
@@ -76,25 +79,49 @@ _set_error = BodeRow.error.__set__
 class _Base(NamedTuple):
     """The constants of a sweep, and `build_model` on them once it passes
     `validate_model`, or the exception that building or validating it
-    raised."""
+    raised; for a validated model also its `uncoupled` parts (see
+    `_base`)."""
 
     params: PhysicalParams
     model: SystemModel | Exception
+    uncoupled: tuple | None = None
 
 
 def _base(params: PhysicalParams) -> _Base:
+    """The model of `params` built, validated and realized once: its
+    `uncoupled` parts are P = -i J M, B and C from `stability._uncoupled`,
+    which no coupling rate touches, so `_rows` completes every row's
+    realization from them bit for bit."""
     try:
-        return _Base(params, _validated(build_model(params)))
+        m = _validated(build_model(params))
     except Exception as exc:  # every row's result, after its own coupling check
         return _Base(params, exc)
+    return _Base(params, m, _uncoupled(m.M, m.Etilde))
 
 
-def _rows(model: SystemModel, kappa1, kappa2):
-    """The realization of `model` at each pair of the broadcast rate arrays
-    `kappa1` and `kappa2`: N from one `build_coupling` call, M and Etilde
-    from `model` (see `_sweep`)."""
-    N = build_coupling(kappa1, kappa2)
-    return _realization(model.M, N, np.broadcast_to(model.Etilde, N.shape[:-2] + model.Etilde.shape))
+def _rows(base: _Base, kappa1, kappa2) -> StateSpace:
+    """The realization of the base model at each pair of the broadcast rate
+    arrays `kappa1` and `kappa2`, with no `build_coupling` call and no
+    matmul: A = P - (1/2) D, D = diag(r1, r2, r1, r2) as complex with
+    r = sqrt(kappa)^2, and a copy of B and of C per pair, all from
+    `base.uncoupled` (see `_base`).
+
+    It is `stability._realization` on the builder's
+    N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)) bit
+    for bit: for a diagonal N each entry of J N^dag J N is one product,
+    sqrt(kappa) times itself on the diagonal, plus exact zeros, so it is D,
+    and A the same subtraction, signed zeros included (pinned byte for
+    byte in tests/test_properties.py).  A model file's N, whose N2 block
+    may be nonzero, takes `_realization` instead."""
+    P, B, C = base.uncoupled
+    r1, r2 = np.square(np.sqrt(kappa1)), np.square(np.sqrt(kappa2))
+    k = np.broadcast(r1, r2).shape
+    D = np.zeros(k + (16,), dtype=complex)
+    D[..., 0::10] = r1[..., None]
+    D[..., 5::10] = r2[..., None]
+    Bk, Ck = np.empty(k + B.shape, dtype=complex), np.empty(k + C.shape, dtype=complex)
+    Bk[...], Ck[...] = B, C
+    return StateSpace(P - 0.5 * D.reshape(k + P.shape), Bk, Ck)
 
 
 def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
@@ -106,9 +133,11 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     F = -i J M - (1/2) J N^dag J N is affine in the coupling rates: only
     N = diag(sqrt(kappa1), sqrt(kappa2), sqrt(kappa1), sqrt(kappa2)) depends
     on them.  So M, Etilde and the sector constants gamma, delta1, delta2
-    come from the one build in `base`, validated once there.  The pairs that
-    `params.replace` accepts, both rates finite and nonnegative, are
-    realized by one `_rows` call and decided as one stack, or all carry the
+    come from the one build in `base`, validated and realized once there.
+    The pairs that `params.replace` accepts, both rates finite and
+    nonnegative, are realized by one `_rows` call, bit for bit their own
+    builds' realizations (for a diagonal N each entry of J N^dag J N is one
+    product plus exact zeros), and decided as one stack, or all carry the
     base build's error.  Any other pair carries the error of
     `params.replace(kappa1=..., kappa2=...)` on it, ahead of any error from
     the base build."""
@@ -123,7 +152,7 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     rows = np.flatnonzero(good)
     m = base.model
     if rows.size and not isinstance(m, Exception):
-        st = _rows(m, k1[rows], k2[rows])
+        st = _rows(base, k1[rows], k2[rows])
         for i, result in zip(rows.tolist(), _decided(st, [m.gamma / 2.0] * rows.size, decide)):
             out[i] = result
     return out
@@ -165,24 +194,40 @@ def _debug_logger():
 
 def _peak_at(base: _Base, kappa2: float, w: float | None):
     """(gain, w*, d gain / dkappa2, realization) of the model at one
-    junction coupling value, on the base build (`_sweep`): a peak of its
-    gain climbed by `stability._climb` from the start frequency w.
+    junction coupling value, its one `_rows` row on the base build (bit for
+    bit its own build's realization: each entry of J N^dag J N is one
+    product plus exact zeros): a peak of its gain, one `stability._polish`
+    from the start frequency w, or from `stability._seed_start` when w is
+    None.
 
     The gain is a measured |G(i w*)|, so a lower bound on the norm; it is
     the norm only if w* sits on the highest peak, which `_norm_freq`
     checks.  The slope comes from the envelope theorem at w*:
     d gain/dkappa2 = Re(conj(G) C R E R B) / |G| with R = (i w* I - F)^-1
     and E = dF/dkappa2 (`DF_DKAPPA2`), from one stacked solve for R B and
-    R^H C^H.  `find_threshold` calls this only inside the audit's flip
-    interval, so the base is a validated model, the pair passes
-    `params.replace`, and F is Hurwitz: its spectrum, -kappa2/2 (twice)
-    and -kappa1/2 +- i omega, is Hurwitz at every kappa2 > 0 once it is at
-    the flip interval's certified end."""
-    st = _rows(base.model, base.params.kappa1, [kappa2])
-    gain, w = _climb(st, w)
+    R^H C^H.  Its [lhs, lhs^H] pair is written into one preallocated stack,
+    lhs = i w* I - F from the shared `stability._identity` as in
+    `transfer_response`, so the same bits as the expression.  A LinAlgError
+    in the climb or in that solve raises RuntimeError naming kappa2, the
+    climb's start and numpy's message.  `find_threshold` calls this only
+    inside the audit's flip interval, so the base is a validated model, the
+    pair passes `params.replace`, and F is Hurwitz: its spectrum, -kappa2/2
+    (twice) and -kappa1/2 +- i omega, is Hurwitz at every kappa2 > 0 once
+    it is at the flip interval's certified end."""
+    st = _rows(base, base.params.kappa1, [kappa2])
+    start = _seed_start(st) if w is None else w
     F, B, C = st.A[0], st.B[0], st.C[0]
-    lhs = 1j * w * np.eye(len(F)) - F
-    rb, rc = np.linalg.solve(np.stack([lhs, lhs.conj().T]), np.stack([B, C.conj().T]))
+    n = len(F)
+    pair, rhs = np.empty((2, n, n), dtype=complex), np.empty((2, n, 1), dtype=complex)
+    try:
+        gain, w = (float(v[0]) for v in _polish(st, [start], HINF_DEFAULT_REL_TOL))
+        np.multiply(1j * w, _identity(n), out=pair[0])
+        pair[0] -= F
+        pair[1], rhs[0], rhs[1] = pair[0].conj().T, B, C.conj().T
+        rb, rc = np.linalg.solve(pair, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"threshold peak failed: {exc} in the climb from {start:.6e} rad/s "
+                           f"at kappa2 {kappa2:.6e}") from exc
     g = (C @ rb).item()
     dg = (rc.conj().T @ (DF_DKAPPA2 * rb)).item()
     return gain, w, (g.conjugate() * dg).real / abs(g), st
@@ -217,7 +262,11 @@ def find_threshold(
     call at kappa2*(1 -+ rel_tol/2) must give [False, True], and kappa2* is
     returned.  A failed pair shrinks the bracket to what the verdicts alone
     have shown, and the search goes on from its midpoint.  The model is
-    built and validated once (`_sweep`).
+    built, validated and realized once (`_base`), and every row of the
+    audit, the peaks and the pairs is bit for bit its own build's
+    realization (`_rows`: each entry of J N^dag J N is one product plus
+    exact zeros).  A singular solve in a peak's climb raises RuntimeError
+    naming kappa2 and the start (`_peak_at`).
 
     At the paper point on [1e11, 1e13], kappa2* = 2.1696638e12 is the
     closed form to 8 digits: the root of a measured peak carries none of

@@ -3,10 +3,11 @@ that leave its transfer function's norm unchanged, and move its peak
 frequency in a known way.  They need no oracle: each compares the norm of
 a drawn system with the norm of the same G written another way.  Two more
 compare a stack of systems with each system alone, and `find_threshold`
-with the closed-form threshold.  Two pin kernels of the stacked core to
+with the closed-form threshold.  Three pin kernels of the stacked core to
 the plain expressions they compute, bit for bit: `transfer_response` to
-C (s I - A)^-1 B, and `_imag_axis_crossings` to its rule applied to every
-row.
+C (s I - A)^-1 B, `_imag_axis_crossings` to its rule applied to every
+row, and the sweeps' affine rows (`sweep._rows`) to `_realization` on
+`build_coupling`'s N.
 
 The draws are random 2-mode models of O(1) scale (`make_random_model`)
 and physical models around the published constants (`random_params`),
@@ -19,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jjcavity as jc
-from jjcavity import stability
+from jjcavity import stability, sweep
+from jjcavity.builder import build_coupling
 from jjcavity.stability import StateSpace, certify, hinf_norm, is_certified, state_space, transfer_eval
 
 from conftest import make_random_model, random_params
@@ -216,3 +218,30 @@ def test_crossings_are_their_rule_on_every_row(drawn, seed):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
         assert g.size or not g.flags.writeable
+
+
+#: rates at the edges of the float range: zero, the smallest subnormal
+#: and one whose square root is about 1e150
+EDGE_RATES = [0.0, 5e-324, 1e300]
+rates = st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.7e308))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.lists(rates, max_size=6), rates, st.booleans())
+def test_affine_rows_are_the_realization(seed, drawn, fixed, sensitivity):
+    # the rows that `_sweep` and the threshold search decide, P - D/2 from
+    # the base's one build, are `_realization` on `build_coupling`'s N with
+    # the same shapes and bytes, for the broadcasts of both callers: kappa2
+    # an array and kappa1 a scalar (sweep, threshold), and the other way
+    # round (sensitivity).  tobytes on purpose: np.array_equal takes -0.0
+    # for 0.0, and a signed zero of A is a bit its rows must keep.
+    base = sweep._base(random_params(np.random.default_rng(seed)))
+    many = np.array(EDGE_RATES + drawn)
+    k1, k2 = (many, fixed) if sensitivity else (fixed, many)
+    got = sweep._rows(base, k1, k2)
+    N = build_coupling(k1, k2)
+    m = base.model
+    want = stability._realization(m.M, N, np.broadcast_to(m.Etilde, N.shape[:-2] + m.Etilde.shape))
+    for name in "ABC":
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

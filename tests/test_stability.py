@@ -1,13 +1,14 @@
 import dataclasses
 import functools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 import jjcavity as jc
-from jjcavity import stability
+from jjcavity import stability, sweep
 from jjcavity.builder import build_coupling, build_model, build_zeta
 from jjcavity.model import _encode_complex
 from jjcavity.stability import (
@@ -547,6 +548,21 @@ class TestSingularPolish:
         out = stability._decided(st, [m.gamma / 2.0 for m in models], stability._certificates)
         assert [type(r) for r in out] == [RuntimeError, RuntimeError]
         assert all(str(r).startswith("H-infinity polish failed: Singular matrix") for r in out)
+
+    def test_threshold_search_names_kappa2_and_start(self, paper_params, monkeypatch):
+        # the first tracked peak climbs from the seeds at the geometric
+        # midpoint of the audit's flip interval; its singular solve is named
+        # with that kappa2 and start, not numpy's bare message
+        base = sweep._base(paper_params)
+        audit = np.logspace(11, 13, sweep.THRESHOLD_AUDIT_POINTS)
+        j = sweep._certified_at(base, audit).index(True)
+        kappa2 = math.exp((math.log(audit[j - 1]) + math.log(audit[j])) / 2.0)
+        start = stability._seed_start(sweep._rows(base, paper_params.kappa1, [kappa2]))
+        self.singular_polish(monkeypatch)
+        message = (f"threshold peak failed: Singular matrix in the climb from {start:.6e} rad/s "
+                   f"at kappa2 {kappa2:.6e}")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            jc.find_threshold(paper_params, 1e11, 1e13)
 
     def test_recorded_nonnormal_system(self):
         # E = 6, seed 1, draw 192 of the non-normal family A = Q (D + T) Q^H
