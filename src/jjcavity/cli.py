@@ -21,7 +21,7 @@ from .params import PhysicalParams, _checked_fields
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
 from .stability import build_F, certify
-from .sweep import BodeRow, SweepRecord, bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
+from .sweep import BodeRow, SweepRecord, _BadBracket, bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,11 +133,9 @@ def cmd_threshold(args) -> int:
     params = _params_from_args(args)
     try:
         star = find_threshold(params, args.lo, args.hi, args.rel_tol)
-    except ValueError as exc:
-        if "bracket invalid" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_CERTIFIED
-        raise
+    except _BadBracket as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     _emit(json.dumps({"kappa2_star": star, "lo": args.lo, "hi": args.hi,
                       "rel_tol": args.rel_tol}), args)
     return EXIT_OK

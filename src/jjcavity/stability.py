@@ -372,56 +372,51 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
     RuntimeError that ends its iteration, and (nan, nan) per system that is
     not Hurwitz, whose norm is undefined; those never reach a solve.
 
-    The level-set iteration of Bruinsma & Steinbuch on the Hurwitz systems.
-    Each step picks one start per system still searching, with one
-    `_row_peaks` over all of them: first its best seed (`_seeds`), later the
-    best of its crossings and the midpoints between consecutive ones, each
-    list padded with repeats of its own entries to the longest.  A start
-    whose gain does not exceed the system's `lo` (at the seeds -inf, so only
-    a NaN) ends it with `_failed`.  The others take one `_polish`, whose
-    measured gain is the new `lo`, a lower bound on the norm, and then one
-    stacked level-set test at hi = `_proof_level(lo, rel_tol)`; a system
-    with no crossing ends with (hi, its polished frequency), where the gain
-    on 90 closed-form draws of the tests is within 3e-10 of the peak.  So
-    the bound comes from that test alone: the polish only makes the first
-    test more often the last (at the paper point it is the only one).  After
-    the HINF_MAX_ITER-th test no crossings are measured, and a system still
-    crossing fails with the level, `lo` and frequency of its last polish.  A
-    LinAlgError in a `_polish` solve ends a stack of one with a RuntimeError
-    naming the start frequency, the last level (NaN before the first test)
-    and `lo`; a larger stack raises it, so that `_decided` redoes each
-    system alone.  The state is kept in Python lists, one entry per system:
-    numpy calls go only to the stacked arithmetic."""
+    The level-set iteration of Bruinsma & Steinbuch on the Hurwitz systems,
+    in rounds of four steps on the systems still searching; round 0 is the
+    seed round.  (1) One pick: one `_row_peaks` over all of them, among
+    their `_seeds` in round 0 and afterwards among the crossings of their
+    last test and the midpoints between consecutive ones, each list padded
+    with repeats of its own entries to the longest.  (2) One filter: a
+    start whose gain does not exceed the system's `lo` ends it with
+    `_failed`.  In round 0 the seed's gain and frequency become `lo` and
+    its frequency, and the gain must exceed 0: a NaN fails, and a gain of
+    exactly 0 ends the system with (0, 0) when G == 0 (every Markov
+    parameter C A^p B, p < n, is zero), otherwise with a RuntimeError.
+    (3) One `_polish` of the starts left, whose measured gain is the new
+    `lo`, a lower bound on the norm.  (4) One stacked level-set test at
+    hi = `_proof_level(lo, rel_tol)`: a system with no crossing ends with
+    (hi, its polished frequency), where the gain on 90 closed-form draws of
+    the tests is within 3e-10 of the peak, and the next round's candidates
+    of the others are built.  So the bound comes from that test alone: the
+    polish only makes the first test more often the last (at the paper
+    point it is the only one).  No pick follows the HINF_MAX_ITER-th test,
+    and a system still crossing fails with the level, `lo` and frequency of
+    its last polish.  A LinAlgError in a `_polish` solve ends a stack of
+    one with a RuntimeError naming the start frequency, the last level (NaN
+    in round 0) and `lo`; a larger stack raises it, so that `_decided`
+    redoes each system alone.  The state is kept in Python lists, one entry
+    per system: numpy calls go only to the stacked arithmetic."""
     ev, abscissa, _, hurwitz = spectra
     k, n = ev.shape
     out: list = [(math.nan, math.nan)] * k
     lo, freq, hi = [math.nan] * k, [math.nan] * k, [math.nan] * k
-    searched = hurwitz.nonzero()[0]
-    rows = []  # the systems still searching
-    seeded = _row_peaks(st.take(searched), _seeds(ev[searched]))
-    for i, g, f in zip(searched.tolist(), *(v.tolist() for v in seeded)):
-        lo[i], freq[i] = g, f
-        if g != 0.0:
-            rows.append(i)
-        elif not any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
-            # G == 0 iff every Markov parameter C A^p B, p < n, is zero
-            out[i] = (0.0, 0.0)
-        else:
-            out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
-    best, start = [lo[i] for i in rows], [freq[i] for i in rows]
+    rows = hurwitz.nonzero()[0].tolist()  # the systems still searching
+    w = _seeds(ev[rows])
     for step in range(HINF_MAX_ITER):
-        if step:
-            candidates = [np.concatenate([c, (c[:-1] + c[1:]) / 2.0]) for c in crossings]
-            size = max(c.size for c in candidates)
-            best, start = (v.tolist() for v in _row_peaks(
-                st.take(rows), np.array([c if c.size == size else np.resize(c, size) for c in candidates])))
         raised, starts = [], []
-        for i, b, f in zip(rows, best, start):
-            if b > (lo[i] if step else -math.inf):
+        for i, b, f in zip(rows, *(v.tolist() for v in _row_peaks(st.take(rows), w))):
+            if not step:  # the seed gain is the first lower bound
+                lo[i], freq[i] = b, f
+            if b > (lo[i] if step else 0.0):
                 raised.append(i)
                 starts.append(f)
-            else:
+            elif step or b != 0.0:  # no start above lo, or a NaN seed gain
                 out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
+            elif any(np.any(st.C[i] @ np.linalg.matrix_power(st.A[i], p) @ st.B[i]) for p in range(n)):
+                out[i] = RuntimeError("H-infinity seeds: zero gain at every seed of a nonzero G")
+            else:  # G == 0 iff every Markov parameter C A^p B, p < n, is zero
+                out[i] = (0.0, 0.0)
         rows = raised
         if not rows:
             break
@@ -438,16 +433,18 @@ def _hinf_norms(st: StateSpace, spectra, rel_tol: float) -> list:
         levels = _proof_level(polished[0], rel_tol)
         for i, g, f, h in zip(rows, *(v.tolist() for v in (*polished, levels))):
             lo[i], freq[i], hi[i] = g, f, h
-        crossed, crossings = [], []
+        crossed, candidates = [], []
         for i, c in zip(rows, _imag_axis_crossings(sub, levels)):
             if c.size:
                 crossed.append(i)
-                crossings.append(c)
+                candidates.append(np.concatenate([c, (c[:-1] + c[1:]) / 2.0]))
             else:
                 out[i] = (hi[i], freq[i])
         rows = crossed
         if not rows:
             break
+        size = max(c.size for c in candidates)
+        w = np.array([c if c.size == size else np.resize(c, size) for c in candidates])
     for i in rows:
         out[i] = _failed(hi[i], lo[i], freq[i], abscissa[i])
     return out

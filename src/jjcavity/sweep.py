@@ -136,9 +136,8 @@ def _sweep(base: _Base, kappa1, kappa2, decide) -> list:
     come from the one build in `base`, validated and realized once there.
     The pairs that `params.replace` accepts, both rates finite and
     nonnegative, are realized by one `_rows` call, bit for bit their own
-    builds' realizations (for a diagonal N each entry of J N^dag J N is one
-    product plus exact zeros), and decided as one stack, or all carry the
-    base build's error.  Any other pair carries the error of
+    builds' realizations, and decided as one stack, or all carry the base
+    build's error.  Any other pair carries the error of
     `params.replace(kappa1=..., kappa2=...)` on it, ahead of any error from
     the base build."""
     k1, k2 = np.broadcast_arrays(np.asarray(kappa1, dtype=float), np.asarray(kappa2, dtype=float))
@@ -194,11 +193,10 @@ def _debug_logger():
 
 def _peak_at(base: _Base, kappa2: float, w: float | None):
     """(gain, w*, d gain / dkappa2, realization) of the model at one
-    junction coupling value, its one `_rows` row on the base build (bit for
-    bit its own build's realization: each entry of J N^dag J N is one
-    product plus exact zeros): a peak of its gain, one `stability._polish`
-    from the start frequency w, or from `stability._seed_start` when w is
-    None.
+    junction coupling value, its one `_rows` row on the base build, bit for
+    bit its own build's realization: a peak of its gain, one
+    `stability._polish` from the start frequency w, or from
+    `stability._seed_start` when w is None.
 
     The gain is a measured |G(i w*)|, so a lower bound on the norm; it is
     the norm only if w* sits on the highest peak, which `_norm_freq`
@@ -233,6 +231,11 @@ def _peak_at(base: _Base, kappa2: float, w: float | None):
     return gain, w, (g.conjugate() * dg).real / abs(g), st
 
 
+class _BadBracket(ValueError):
+    """A `find_threshold` bracket that fails its check: certified at lo, or
+    not certified at hi.  The CLI exits 2 on it, as on a refused model."""
+
+
 def find_threshold(
     params: PhysicalParams, lo: float, hi: float, rel_tol: float = 1e-3
 ) -> float:
@@ -242,9 +245,9 @@ def find_threshold(
     Requires certified(lo) = False and certified(hi) = True.  Monotonicity
     of the certified predicate is observed rather than proven, so a 20-point
     log grid from lo to hi (exactly) is audited first, in one stacked
-    verdict call (`_verdicts`); its end verdicts are the bracket checks,
-    and a certified point followed by an uncertified one raises
-    RuntimeError.  The two audit points where the verdict flips bound the
+    verdict call (`_verdicts`); its end verdicts are the bracket checks
+    (a failed one raises `_BadBracket`, a ValueError), and a certified
+    point followed by an uncertified one raises RuntimeError.  The two audit points where the verdict flips bound the
     search.  From their geometric midpoint, Newton runs on
     f(x) = log gain - log(gamma/2) in x = log kappa2, with the gain of a
     tracked peak and its exact kappa2-derivative from `_peak_at`: each step
@@ -264,9 +267,8 @@ def find_threshold(
     have shown, and the search goes on from its midpoint.  The model is
     built, validated and realized once (`_base`), and every row of the
     audit, the peaks and the pairs is bit for bit its own build's
-    realization (`_rows`: each entry of J N^dag J N is one product plus
-    exact zeros).  A singular solve in a peak's climb raises RuntimeError
-    naming kappa2 and the start (`_peak_at`).
+    realization (`_rows`).  A singular solve in a peak's climb raises
+    RuntimeError naming kappa2 and the start (`_peak_at`).
 
     At the paper point on [1e11, 1e13], kappa2* = 2.1696638e12 is the
     closed form to 8 digits: the root of a measured peak carries none of
@@ -295,9 +297,9 @@ def find_threshold(
     base = _base(params)
     flags = _certified_at(base, audit)
     if flags[0]:
-        raise ValueError(f"bracket invalid: already certified at lo = {lo:.6e}")
+        raise _BadBracket(f"bracket invalid: already certified at lo = {lo:.6e}")
     if not flags[-1]:
-        raise ValueError(f"bracket invalid: not certified at hi = {hi:.6e}")
+        raise _BadBracket(f"bracket invalid: not certified at hi = {hi:.6e}")
     j = flags.index(True)
     if False in flags[j:]:  # the first certified point followed by a refused one
         i = flags.index(False, j)

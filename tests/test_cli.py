@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jjcavity import cli
 from jjcavity.cli import EXIT_ERROR, EXIT_NOT_CERTIFIED, EXIT_OK, build_parser, main
 from jjcavity.params import PhysicalParams
 
@@ -227,6 +228,15 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bracket invalid: not certified at hi = 2.000000e+12\n"
+
+    def test_other_value_error_exit_one(self, capsys, monkeypatch):
+        # exit 2 follows the bracket check's error type, not its words
+        def raises(*args):
+            raise ValueError("bracket invalid: x")
+
+        monkeypatch.setattr(cli, "find_threshold", raises)
+        assert main(["threshold", *PARAM_FLAGS, "--lo", "1e11", "--hi", "1e13"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: bracket invalid: x\n"
 
     @pytest.mark.parametrize("rel_tol", ["nan", "inf", "0", "1e-17"])
     def test_bad_rel_tol_exit_one(self, capsys, rel_tol):

@@ -283,6 +283,16 @@ class TestHinfNorm:
         with pytest.raises(RuntimeError, match="zero gain"):
             hinf_norm(ss)
 
+    def test_nan_seed_gains_fail(self, monkeypatch):
+        # a NaN seed gain fails round 0's filter; the message names it and
+        # the first seed, w = -2 (argmax of an all-NaN row), with no level
+        ss = StateSpace(A=[[-2.0]], B=[[1.0]], C=[[1.0]])
+        monkeypatch.setattr(stability, "transfer_response", lambda ss, s: np.full(np.shape(s), np.nan))
+        message = ("H-infinity iteration failed: level nan still crossed; "
+                   "lower bound nan at -2.000000e+00 rad/s, abscissa -2.000000e+00")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            hinf_norm(ss)
+
     def test_stall_raises(self, monkeypatch):
         # a crossing band the gains cannot confirm: the midpoint (w = 0) is
         # the peak already, so lo cannot rise and no level is returned
@@ -538,6 +548,29 @@ class TestSingularPolish:
             hinf_norm(state_space(paper_model))
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             certify(paper_model)
+
+    def test_round_one_names_round_zero(self, monkeypatch):
+        # the setup of `test_out_of_steps_raises`: round 0 polishes from the
+        # seed at w = -1.5 and its test crosses; round 1's polish, from the
+        # midpoint -1.4, fails and names round 0's level and lower bound
+        monkeypatch.setattr(stability, "HINF_POLISH_STEPS", 0)
+        monkeypatch.setattr(stability, "_imag_axis_crossings",
+                            lambda st, levels: [np.array([-1.6, -1.2])] * len(levels))
+        polish, calls = stability._polish, []
+
+        def second_fails(st, w, rel_tol):
+            calls.append(list(w))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return polish(st, w, rel_tol)
+
+        monkeypatch.setattr(stability, "_polish", second_fails)
+        ss = StateSpace(A=np.diag([-1.0, -2.0]), B=[1.0, 1.0], C=[-1.0, 2.0])
+        message = ("H-infinity polish failed: Singular matrix in the solve from -1.400000e+00 rad/s; "
+                   "level 3.328202e-01, lower bound 3.328201e-01, abscissa -1.000000e+00")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            hinf_norm(ss)
+        assert calls == [[-1.5], [-1.4]]
 
     def test_larger_stack_raises_and_decided_redoes_each(self, paper_model, paper_params, monkeypatch):
         models = [paper_model, build_model(paper_params.replace(kappa2=1e12))]

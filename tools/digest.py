@@ -1,4 +1,4 @@
-"""Four sha256 digests of jjcavity's outputs, to check that a change
+"""Five sha256 digests of jjcavity's outputs, to check that a change
 keeps them bit for bit.
 
     python3 tools/digest.py
@@ -20,6 +20,17 @@ prints
                       `verify_sector` and `verify_second` reports of the
                       cosine derivatives on 300 random grids, both drawn
                       from np.random.default_rng(13)
+    nonnormal <sha256>  repr of `hinf_norm` on each Hurwitz A = Q (D + T) Q^H
+                      of the non-normal family (n = 2..6, D the spectrum,
+                      T strictly upper and up to 10^E times it), 200 draws
+                      of np.random.default_rng(seed) at (E, seed) = (3, 5)
+                      and (6, 1), or the type and message of what it
+                      raised.  Of the 194 Hurwitz draws at E = 3, 192 give
+                      a norm and 2 a "level ... still crossed" failure; of
+                      the 133 at E = 6, 117 a norm, 15 that failure and 1
+                      "polish failed" (an exactly singular solve, so it
+                      may depend on the LAPACK build).  No other line
+                      reaches the norm search's failure exits.
 
 Run it in two checkouts (copy this file into the older one) and compare the
 lines.  It imports the package from its own checkout's src/ and reads
@@ -59,6 +70,7 @@ WORKLOADS = ("point", "threshold", "sweep", "crosscheck")
 SEEDS = (5, 6, 7)
 SWEEP_DRAWS, SWEEP_SEED = 300, 11
 CHECK_DRAWS, GRID_DRAWS, CHECK_SEED = 2000, 300, 13
+NONNORMAL_DRAWS, NONNORMAL_CASES = 200, ((3, 5), (6, 1))  # (E, seed)
 COMMANDS = ("build", "certify", "sweep", "threshold", "bode", "sensitivity", "simulate", "verify-sector")
 
 
@@ -146,8 +158,30 @@ def checks() -> str:
     return h.hexdigest()
 
 
+def nonnormal() -> str:
+    h = hashlib.sha256()
+    for E, seed in NONNORMAL_CASES:
+        rng = np.random.default_rng(seed)
+        for _ in range(NONNORMAL_DRAWS):
+            n = int(rng.integers(2, 7))
+            Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            D = np.diag(-10 ** rng.uniform(-2, 0.3, n) + 1j * rng.uniform(-2, 2, n))
+            T = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1) * 10 ** rng.uniform(0, E)
+            B, C = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+            A = Q @ (D + T) @ Q.conj().T
+            if not jc.is_hurwitz(A):
+                continue
+            try:
+                result = repr(jc.hinf_norm(jc.StateSpace(A, B, C)))
+            except (RuntimeError, ValueError) as exc:  # the failure exits this line pins
+                result = f"{type(exc).__name__}: {exc}"
+            h.update(result.encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("pools", pools())
     print("sweeps", sweeps())
     print("cli", cli())
     print("checks", checks())
+    print("nonnormal", nonnormal())
