@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success (and when a certificate is issued), 2 when the
 model is not certified, a threshold bracket is invalid on either side or a
-sector check fails, 1 on any other error, usage errors included.
+sector check fails, 1 on any other error, usage errors included.  `main`
+maps every error to its code and prints its one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -21,7 +24,7 @@ from .params import PhysicalParams, _checked_fields
 from .sector import GridSpec, cosine_first_derivative, cosine_second_derivative, cosine_sector_constants, verify_second, verify_sector
 from .simulate import default_timescales, estimate_decay, integrate_mean, slow_mode_vector
 from .stability import build_F, certify
-from .sweep import BodeRow, SweepRecord, _BadBracket, bode_csv, find_threshold, format_csv, kappa1_sensitivity, sweep_kappa2
+from .sweep import BodeRow, SweepRecord, _BadBracket, bode_csv, find_threshold, kappa1_sensitivity, sweep_kappa2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,14 +52,14 @@ def _params_from_args(args) -> PhysicalParams:
     try:
         return PhysicalParams(**base)
     except TypeError as exc:
-        raise SystemExit(f"error: incomplete parameters: {exc}")
+        raise ValueError(f"incomplete parameters: {exc}") from None
 
 
 def _load_model(args) -> SystemModel:
     """The --model file's model; one that fails `validate_model` raises the
     error `certify` raises for it, before any command writes."""
     if not args.model:
-        raise SystemExit("error: --model FILE is required for this command")
+        raise ValueError("--model FILE is required for this command")
     with open(args.model) as fh:
         return _validated(SystemModel.from_json(fh.read()))
 
@@ -86,11 +89,29 @@ def _emit(text: str, args) -> None:
         print(text, end="")
 
 
+def _cell(x):
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return f"{x:.17g}" if isinstance(x, float) else x
+
+
+def _csv(columns: list[str], rows) -> str:
+    """A header row, then one line per row: a float to 17 significant
+    digits (it reads back bit for bit), a bool as true/false, None as an
+    empty cell, and a cell holding a comma, a double quote or a newline in
+    RFC 4180 quotes, so every row has the header's columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
 def _emit_table(columns: list[str], rows, args) -> None:
-    """Rows as CSV or as a JSON list of objects keyed by `columns`; None is
-    an empty CSV cell and a JSON null."""
+    """Rows as CSV (`_csv`) or as a JSON list of objects keyed by
+    `columns`, None a JSON null."""
     if args.format == "csv":
-        _emit(format_csv(columns, [["" if x is None else x for x in row] for row in rows]), args)
+        _emit(_csv(columns, rows), args)
     else:
         _emit(json.dumps([dict(zip(columns, row)) for row in rows]), args)
 
@@ -101,9 +122,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise SystemExit(f"error: bad grid spec {spec!r}, expected lo:hi:n")
+        raise ValueError(f"bad grid spec {spec!r}, expected lo:hi:n") from None
     if not (0 < lo <= hi < np.inf) or n < 1:
-        raise SystemExit(f"error: bad grid spec {spec!r}")
+        raise ValueError(f"bad grid spec {spec!r}")
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
@@ -131,11 +152,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = _params_from_args(args)
-    try:
-        star = find_threshold(params, args.lo, args.hi, args.rel_tol)
-    except _BadBracket as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
+    star = find_threshold(params, args.lo, args.hi, args.rel_tol)
     _emit(json.dumps({"kappa2_star": star, "lo": args.lo, "hi": args.hi,
                       "rel_tol": args.rel_tol}), args)
     return EXIT_OK
@@ -176,7 +193,7 @@ def cmd_simulate(args) -> int:
     header = ["t", *(f"{part}_v{k}" for k in range(v0.size) for part in ("re", "im")), "norm_sq"]
     re_im = np.stack([traj.v.real, traj.v.imag], axis=2).reshape(len(traj.t), -1)
     rows = np.column_stack([traj.t, re_im, traj.norm_sq]).tolist()
-    _emit(format_csv(header, rows), args)
+    _emit(_csv(header, rows), args)
     _write(decay_path, est.to_json() + "\n", args)
     return EXIT_OK
 
@@ -268,9 +285,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
+        # LinAlgError is a ValueError; OverflowError and FloatingPointError
+        # are ArithmeticErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_NOT_CERTIFIED if isinstance(exc, _BadBracket) else EXIT_ERROR
 
 
 if __name__ == "__main__":

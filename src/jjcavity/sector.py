@@ -22,7 +22,9 @@ DEFAULT_POINTS = 801
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square grid [-re_max, re_max] x [-im_max, im_max] in the complex plane."""
+    """Square grid [-re_max, re_max] x [-im_max, im_max] in the complex plane.
+    Each full width, 2 * re_max and 2 * im_max, must be finite: `np.linspace`
+    steps by it, and an inf step makes the grid NaN."""
 
     re_max: float = DEFAULT_RANGE
     im_max: float = DEFAULT_RANGE
@@ -32,7 +34,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points_re < 1 or self.points_im < 1:
             raise ValueError("grid must have at least one point per axis")
-        if not (0 < self.re_max < np.inf and 0 < self.im_max < np.inf):
+        if not (0 < 2 * self.re_max < np.inf and 0 < 2 * self.im_max < np.inf):
             raise ValueError("grid half-ranges must be finite and positive")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,6 @@ THRESHOLD_MAX_PEAKS = 100
 #: dF/dkappa2 as a column: the damping term of F is
 #: -(1/2) J N^dag J N = -diag(kappa1, kappa2, kappa1, kappa2)/2
 DF_DKAPPA2 = np.array([[0.0], [-0.5], [0.0], [-0.5]])
-CSV_FLOAT_FMT = "{:.17g}"
 
 
 @dataclass(frozen=True)
@@ -411,19 +410,3 @@ def kappa1_sensitivity(
     certs = _sweep(_base(params), values, float(kappa2_fixed), _certificates)
     return [(k1, _raised(cert).hinf_norm) for k1, cert in zip(values, certs)]
 
-
-def format_csv(header: list[str], rows: list[list]) -> str:
-    """Round-trip-precision CSV: 17 significant digits, period decimal
-    separator, mandatory header row."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, bool):
-                cells.append("true" if x else "false")
-            elif isinstance(x, float):
-                cells.append(CSV_FLOAT_FMT.format(x))
-            else:
-                cells.append(str(x))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

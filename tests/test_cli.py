@@ -1,7 +1,11 @@
 import argparse
+import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,8 +60,12 @@ class TestBuild:
         assert captured.err == ("" if quiet else f"wrote {dest}\n")
 
     def test_incomplete_params(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["build", "--omega", "1.0"])
+        with pytest.raises(TypeError) as exc:
+            PhysicalParams(omega=1.0)
+        assert main(["build", "--omega", "1.0"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: incomplete parameters: {exc.value}\n"
 
     @pytest.mark.parametrize("content, key", [
         ([1.0], "object, got list"),
@@ -111,9 +119,11 @@ class TestCertify:
         assert captured.out == ""
         assert captured.err.startswith("error: margin")
 
-    def test_missing_model_flag(self):
-        with pytest.raises(SystemExit):
-            main(["certify"])
+    def test_missing_model_flag(self, capsys):
+        assert main(["certify"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --model FILE is required for this command\n"
 
     def test_bad_model_file(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
@@ -190,9 +200,11 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["certified"] is True
 
-    def test_bad_grid_spec(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", *PARAM_FLAGS, "--kappa2-grid", "nope"])
+    def test_bad_grid_spec(self, capsys):
+        assert main(["sweep", *PARAM_FLAGS, "--kappa2-grid", "nope"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad grid spec 'nope', expected lo:hi:n\n"
 
     @pytest.mark.parametrize("spec", ["1e11:inf:3", "1e11:nan:3", "inf:inf:3", "nan:1e13:3"])
     @pytest.mark.parametrize("command", [("sweep", "--kappa2-grid"),
@@ -200,10 +212,24 @@ class TestSweep:
     def test_nonfinite_grid_exits_one(self, capsys, command, spec):
         name, flag = command
         extra = ["--kappa2-fixed", "2.5e12"] if name == "sensitivity" else []
-        with pytest.raises(SystemExit) as exc:
-            main([name, *PARAM_FLAGS, flag, spec, *extra])
-        assert exc.value.code == f"error: bad grid spec {spec!r}"
-        assert capsys.readouterr().out == ""
+        assert main([name, *PARAM_FLAGS, flag, spec, *extra]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad grid spec {spec!r}\n"
+
+    def test_csv_error_cell_with_commas(self, capsys):
+        # every row's error holds commas: quoted, the row keeps 5 cells
+        from jjcavity.sweep import sweep_kappa2
+
+        flags = ["--omega", "1e200", "--g", "0.15", "--U", "2.2087e-22", "--Jp", "3.6652e11",
+                 "--kappa1", "1e11"]
+        assert main(["sweep", *flags, "--kappa2-grid", "1e11:1e13:3", "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [len(row) for row in rows] == [5] * 4
+        params = PhysicalParams(omega=1e200, g=0.15, U=2.2087e-22, Jp=3.6652e11, kappa1=1e11)
+        records = sweep_kappa2(params, [1e11, 1e12, 1e13])
+        assert all("," in r.error for r in records)
+        assert [row[4] for row in rows[1:]] == [r.error for r in records]
 
 
 class TestThreshold:
@@ -342,7 +368,6 @@ class TestSimulate:
     def test_csv_matches_per_value_rows(self, model_file, tmp_path, paper_model):
         from jjcavity.simulate import integrate_mean, slow_mode_vector
         from jjcavity.stability import build_F
-        from jjcavity.sweep import format_csv
 
         out = tmp_path / "t.csv"
         assert main(["simulate", "--model", model_file, "--t-end", "1e-11", "--dt", "1e-14",
@@ -361,7 +386,7 @@ class TestSimulate:
                 row += [float(z.real), float(z.imag)]
             row.append(float(ns))
             rows.append(row)
-        assert out.read_text() == format_csv(header, rows)
+        assert out.read_text() == cli._csv(header, rows)
 
     def test_malformed_v0_exit_one(self, model_file, tmp_path, capsys):
         assert main(["simulate", "--model", model_file, "--v0", "[1,2]",
@@ -441,7 +466,8 @@ class TestVerifySector:
     @pytest.mark.parametrize("flags", [["--Jp", "0"], ["--Jp", "nan"], ["--Jp", "-1"],
                                        ["--Jp", "1", "--gamma", "nan"],
                                        ["--Jp", "1", "--delta1", "-1"],
-                                       ["--Jp", "1", "--range", "inf"]])
+                                       ["--Jp", "1", "--range", "inf"],
+                                       ["--Jp", "1", "--range", "1e308"]])
     def test_bad_constants_exit_one(self, capsys, flags):
         assert main(["verify-sector", *flags]) == EXIT_ERROR
         captured = capsys.readouterr()
@@ -579,3 +605,47 @@ class TestOverflow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_arithmetic_error_exits_one(self, monkeypatch, capsys):
+        def not_finite(*args, **kwargs):
+            raise FloatingPointError("f' is not finite at z + conj(z) = nan")
+
+        monkeypatch.setattr(cli, "verify_sector", not_finite)
+        assert main(["verify-sector", "--Jp", "1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f' is not finite at z + conj(z) = nan\n"
+
+
+class TestCsv:
+    def test_header_and_precision(self):
+        text = cli._csv(["a", "b"], [[1.0 / 3.0, True], [2.0, False]])
+        lines = text.strip().split("\n")
+        assert lines[0] == "a,b"
+        assert lines[1] == "0.33333333333333331,true"
+        assert lines[2] == "2,false"
+        assert text.endswith("\n")
+
+    def test_round_trip(self):
+        x = 5.5562431815176533e-13
+        text = cli._csv(["x"], [[x]])
+        assert float(text.strip().split("\n")[1]) == x
+
+
+class TestProcess:
+    """The exit contract as a real process shows it, where the interpreter
+    would print a traceback or a warning: stderr is empty or one error
+    line."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify-sector", "--Jp", "1", "--points", "21"], EXIT_OK),
+        (["threshold", *PARAM_FLAGS, "--lo", "2e12", "--hi", "2.1e12"], EXIT_NOT_CERTIFIED),
+        (["verify-sector", "--Jp", "1", "--range", "1e308"], EXIT_ERROR),
+    ], ids=["ok", "bad-bracket", "overflowing-range"])
+    def test_exit_code_and_stderr(self, argv, code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "jjcavity.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr == "" or (proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1)

@@ -236,7 +236,8 @@ class TestReport:
             GridSpec(re_max=-1.0)
 
     @pytest.mark.parametrize("bad", [{"re_max": np.nan}, {"im_max": np.nan},
-                                     {"re_max": np.inf}, {"im_max": np.inf}])
+                                     {"re_max": np.inf}, {"im_max": np.inf},
+                                     {"re_max": 1e308}, {"im_max": 1e308}])
     def test_nonfinite_range_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(**bad)

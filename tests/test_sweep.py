@@ -18,7 +18,6 @@ from jjcavity.sweep import (
     SweepRecord,
     bode_csv,
     find_threshold,
-    format_csv,
     kappa1_sensitivity,
     sweep_kappa2,
 )
@@ -468,21 +467,6 @@ class TestSensitivity:
         grid = [1e12, 1e10, 1e11]
         pairs = kappa1_sensitivity(paper_params, grid, kappa2_fixed=2.5e12)
         assert [k for k, _ in pairs] == grid
-
-
-class TestFormatCsv:
-    def test_header_and_precision(self):
-        text = format_csv(["a", "b"], [[1.0 / 3.0, True], [2.0, False]])
-        lines = text.strip().split("\n")
-        assert lines[0] == "a,b"
-        assert lines[1] == "0.33333333333333331,true"
-        assert lines[2] == "2,false"
-        assert text.endswith("\n")
-
-    def test_round_trip(self):
-        x = 5.5562431815176533e-13
-        text = format_csv(["x"], [[x]])
-        assert float(text.strip().split("\n")[1]) == x
 
 
 class TestStackedSweep:
